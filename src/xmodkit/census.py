@@ -11,6 +11,7 @@ group_census produces the analogous per-order family table for groups.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import shutil
@@ -24,8 +25,11 @@ from .catalog import GroupCatalog, catalog_group, load_catalog
 from .groups import (
     FiniteGroup,
     all_homs,
+    automorphism_generators,
     automorphism_group,
     center,
+    compose_perms,
+    first_iso,
     generating_sequence,
     group_family_partition,
     group_fingerprint,
@@ -33,11 +37,11 @@ from .groups import (
     group_middle_length,
     group_nilpotency_class,
     group_rank,
+    identity_hom,
     quotient_group,
 )
 from .invariants import (
     center_xmod,
-    displacement_subgroup,
     lower_central_series,
     middle_length_of_xmod,
     nilpotency_class,
@@ -51,7 +55,6 @@ from .xmods import (
     make_xmod,
     parse_xmod,
     serialize_xmod,
-    xmod_fingerprint,
 )
 
 _META_VERSION = "census v1"
@@ -272,46 +275,99 @@ def all_xmods(
 # --- stage 2: isomorphism reduction ---
 
 
-def _iso_bucket_key(X: CrossedModule) -> tuple:
-    d = X.boundary.image_of
-    rank = rank_of_xmod(X)
-    ml = middle_length_of_xmod(X)
-    return (
-        X.g1.catalog_id or group_fingerprint(X.g1),
-        X.g0.catalog_id or group_fingerprint(X.g0),
-        xmod_fingerprint(X),
-        sum(1 for v in d if v == X.g0.identity),
-        len(set(d)),
-        center_xmod(X).order,
-        displacement_subgroup(X).order,
-        (rank.level1_order, rank.level0_order),
-        (ml.level1_order, ml.level0_order),
-    )
+def _orbit_roots(raw: Sequence[CrossedModule]) -> list[int]:
+    """Lowest raw index of each module's isomorphism class.
+
+    Modules on different catalog groups are never isomorphic, and modules
+    on one pair (G1, G0) are isomorphic exactly when they share an orbit of
+    Aut(G1) x Aut(G0) acting by
+
+        (alpha, beta).(d, act) = (beta d alpha^-1,
+                                  (y, b) -> alpha(act[beta^-1 y][alpha^-1 b])).
+
+    Each module is joined with its image under every generator (alpha, 1)
+    and (1, beta) in a union-find whose root is the lowest index.
+    """
+    parent = list(range(len(raw)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    by_pair: dict = {}
+    for i, X in enumerate(raw):
+        by_pair.setdefault((X.g1, X.g0), []).append(i)
+    for level in (0, 1):
+        groups = list(dict.fromkeys(pair[level] for pair in by_pair))
+        for G, H in itertools.combinations(groups, 2):
+            if (group_fingerprint(G) == group_fingerprint(H)
+                    and first_iso(G, H) is not None):
+                raise CensusError("raw modules lie on distinct isomorphic groups")
+    for (G1, G0), members in by_pair.items():
+        index: dict = {}
+        for i in members:
+            X = raw[i]
+            union(i, index.setdefault((X.boundary.image_of, X.action), i))
+        ident1, ident0 = identity_hom(G1), identity_hom(G0)
+        moves = [(f, ident0) for f in automorphism_generators(G1)]
+        moves += [(ident1, f) for f in automorphism_generators(G0)]
+        for alpha, beta in moves:
+            a, a_inv = alpha.image_of, alpha.inverse().image_of
+            b, b_inv = beta.image_of, beta.inverse().image_of
+            conj: dict = {}  # action row r -> alpha r alpha^-1, formed once
+            for (d, act), i in index.items():
+                for row in act:
+                    if row not in conj:
+                        conj[row] = compose_perms(a, compose_perms(row, a_inv))
+                j = index.get((
+                    compose_perms(b, compose_perms(d, a_inv)),
+                    tuple([conj[act[y]] for y in b_inv]),
+                ))
+                if j is None:
+                    raise CensusError(
+                        f"raw module {i} maps outside the raw set: the "
+                        "enumeration is not closed under Aut(G1) x Aut(G0)"
+                    )
+                union(i, j)
+    return [find(i) for i in range(len(raw))]
 
 
 def reduce_by_isomorphism(result: CensusResult, *, slow: bool = False) -> CensusResult:
     """First representative of each isomorphism class, plus the class map.
 
-    Candidates are bucketed by cheap invariants before the isomorphism
-    search; slow=True drops the buckets and the fingerprint prefilter and
-    compares pairwise against every prior representative.
+    The fast path computes isomorphism classes as orbits of automorphism
+    pairs (_orbit_roots); slow=True compares each module pairwise, with
+    is_isomorphic_xmod and no prefilter, against every prior
+    representative.  Both keep the lowest raw index of each class.
     """
+    raw = result.representatives
     reps: list = []
     class_map: list[int] = []
-    buckets: dict = {}
-    for X in result.representatives:
-        key = X.order() if slow else _iso_bucket_key(X)
-        bucket = buckets.setdefault(key, [])
-        hit = None
-        for ridx in bucket:
-            if is_isomorphic_xmod(X, reps[ridx], slow=slow) is not None:
-                hit = ridx
-                break
-        if hit is None:
-            hit = len(reps)
-            reps.append(X)
-            bucket.append(hit)
-        class_map.append(hit)
+    if slow:
+        for X in raw:
+            hit = next(
+                (r for r, Y in enumerate(reps)
+                 if is_isomorphic_xmod(X, Y, slow=True) is not None),
+                None,
+            )
+            if hit is None:
+                hit = len(reps)
+                reps.append(X)
+            class_map.append(hit)
+    else:
+        rep_of: dict[int, int] = {}
+        for i, root in enumerate(_orbit_roots(raw)):
+            if root == i:
+                rep_of[i] = len(reps)
+                reps.append(raw[i])
+            class_map.append(rep_of[root])
     return CensusResult(
         order_pair=result.order_pair,
         raw_count=result.raw_count,

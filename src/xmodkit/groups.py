@@ -9,12 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .values import NOT_NILPOTENT, LogValue
 
 DEFAULT_CLOSURE_CAP = 512
 DEFAULT_AUT_CAP = 64
+# largest |Aut G| whose dense Cayley table automorphism_group will build;
+# over the bundled catalog only C2^4 (|Aut| = 20160) exceeds it, the next
+# largest being 432
+AUT_TABLE_CAP = 1024
 
 
 class CapExceededError(ValueError):
@@ -312,6 +317,20 @@ def group_from_closure(
     """
     if max_order is None:
         max_order = DEFAULT_CLOSURE_CAP
+    elements, index = _closure_elements(generators, op, identity, max_order)
+    table = tuple(
+        tuple(index[op(a, b)] for b in elements) for a in elements
+    )
+    return FiniteGroup(table), elements
+
+
+def _closure_elements(
+    generators: Sequence[Hashable],
+    op: Callable[[Hashable, Hashable], Hashable],
+    identity: Hashable,
+    max_order: int,
+) -> tuple[list, dict]:
+    """The breadth-first element list of group_from_closure and its index."""
     elements = [identity]
     index = {identity: 0}
     i = 0
@@ -328,14 +347,24 @@ def group_from_closure(
                     )
                 index[p] = len(elements)
                 elements.append(p)
-    table = tuple(
-        tuple(index[op(a, b)] for b in elements) for a in elements
-    )
-    return FiniteGroup(table), elements
+    return elements, index
+
+
+def conjugation_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Row g is the image table of x -> g x g^-1; computed once per group."""
+    if "conjtab" not in G._cache:
+        G._cache["conjtab"] = tuple(
+            tuple(G.conj(g, x) for x in G.elements) for g in G.elements
+        )
+    return G._cache["conjtab"]
 
 
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """(p ∘ q)(x) = p(q(x))."""
+    """(p ∘ q)(x) = p(q(x)), for image tables of any maps, not only
+    permutations."""
+    if len(q) > 1:
+        # one C-level lookup per entry; a single item would come back bare
+        return itemgetter(*q)(p)
     return tuple(p[x] for x in q)
 
 
@@ -659,11 +688,45 @@ def first_iso(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     return rec(0, [])
 
 
+def automorphisms(G: FiniteGroup) -> list[GroupHom]:
+    """Every automorphism of G in all_isos(G, G) order, identity first;
+    computed once per group."""
+    if "auts" not in G._cache:
+        G._cache["auts"] = all_isos(G, G)
+    return G._cache["auts"]
+
+
+def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
+    """A generating set of Aut(G), picked greedily from automorphisms(G).
+
+    Each automorphism, in list order, that the generators picked so far do
+    not reach becomes a generator, and the reached set is closed again by
+    composing image tables.  No Cayley table of Aut(G) is built, so this
+    stays cheap where automorphism_group refuses (|Aut C2^4| = 20160).
+    """
+    if "autgens" not in G._cache:
+        auts = automorphisms(G)
+        ident = auts[0].image_of
+        gens: list[GroupHom] = []
+        reached: dict = {ident: 0}
+        for f in auts:
+            if f.image_of not in reached:
+                gens.append(f)
+                _, reached = _closure_elements(
+                    [g.image_of for g in gens], compose_perms, ident, len(auts)
+                )
+        G._cache["autgens"] = tuple(gens)
+    return G._cache["autgens"]
+
+
 def automorphism_group(
     G: FiniteGroup, *, cap: Optional[int] = None
 ) -> tuple[FiniteGroup, list[GroupHom]]:
     """Aut(G) as a FiniteGroup whose element i is the returned list's i-th
-    automorphism; the product is composition, (f*g)(x) = f(g(x))."""
+    automorphism; the product is composition, (f*g)(x) = f(g(x)).
+
+    cap bounds |G|; AUT_TABLE_CAP bounds |Aut G|, checked before the
+    |Aut G|^2 table is built."""
     if cap is None:
         cap = DEFAULT_AUT_CAP
     if G.order > cap:
@@ -672,7 +735,11 @@ def automorphism_group(
         )
     if "aut" in G._cache:
         return G._cache["aut"]
-    auts = all_isos(G, G)
+    auts = automorphisms(G)
+    if len(auts) > AUT_TABLE_CAP:
+        raise CapExceededError(
+            f"|Aut G| = {len(auts)} exceeds the table cap of {AUT_TABLE_CAP}"
+        )
     index = {f.image_of: i for i, f in enumerate(auts)}
     table = tuple(
         tuple(index[compose_perms(f.image_of, g.image_of)] for g in auts)

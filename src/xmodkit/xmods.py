@@ -21,7 +21,9 @@ from .groups import (
     Subgroup,
     _closure_map,
     all_isos,
+    automorphisms,
     compose_perms,
+    conjugation_table,
     generating_sequence,
     group_fingerprint,
     identity_hom,
@@ -65,7 +67,7 @@ class CrossedModule:
         self.g1 = g1
         self.g0 = g0
         self.boundary = boundary
-        self.action = tuple(tuple(int(v) for v in row) for row in action)
+        self.action = tuple(tuple(map(int, row)) for row in action)
         self._cache = {}
         n, m = g1.order, g0.order
         if len(self.action) != m or any(len(row) != n for row in self.action):
@@ -81,7 +83,11 @@ class CrossedModule:
         n = self.g1.order
         mul1 = self.g1.mul
         full = frozenset(range(n))
+        # rows already shown to be automorphisms of this group table
+        passed = self.g1._cache.setdefault("automorphic_rows", set())
         for x, row in enumerate(self.action):
+            if row in passed:
+                continue
             if frozenset(row) != full:
                 raise XModAxiomError(
                     "action-not-automorphic", (x, None),
@@ -93,6 +99,7 @@ class CrossedModule:
                         raise XModAxiomError(
                             "action-not-automorphic", (x, (a, b)),
                             "row does not respect the product")
+            passed.add(row)
 
     def _check_action_hom(self):
         ident = tuple(self.g1.elements)
@@ -101,36 +108,42 @@ class CrossedModule:
                 "action-not-homomorphic", (self.g0.identity, None),
                 "identity must act trivially")
         mul0 = self.g0.mul
-        act = self.action
+        # rows compared by their index among the distinct rows, so each
+        # composite of two rows is formed once, not once per pair (x, y)
+        rows = list(dict.fromkeys(self.action))
+        index = {row: i for i, row in enumerate(rows)}
+        idx = [index[row] for row in self.action]
+        comp = [[index.get(compose_perms(r, s), -1) for s in rows] for r in rows]
         for x in self.g0.elements:
+            cx, mx = comp[idx[x]], mul0[x]
             for y in self.g0.elements:
-                if act[mul0[x][y]] != compose_perms(act[x], act[y]):
+                if idx[mx[y]] != cx[idx[y]]:
                     raise XModAxiomError(
                         "action-not-homomorphic", (x, y),
                         "action of a product is not the composite")
 
     def _check_cm1(self):
         d = self.boundary.image_of
-        conj0 = self.g0.conj
-        for x in self.g0.elements:
-            row = self.action[x]
-            for a in self.g1.elements:
-                if d[row[a]] != conj0(x, d[a]):
-                    raise XModAxiomError(
-                        "cm1", (x, a),
-                        "boundary is not equivariant for the action")
+        conj0 = conjugation_table(self.g0)
+        for x, row in enumerate(self.action):
+            # d(^x a) = x d(a) x^-1, for every a at once
+            if compose_perms(d, row) != compose_perms(conj0[x], d):
+                a = next(a for a in self.g1.elements
+                         if d[row[a]] != conj0[x][d[a]])
+                raise XModAxiomError(
+                    "cm1", (x, a),
+                    "boundary is not equivariant for the action")
 
     def _check_cm2(self):
         d = self.boundary.image_of
-        act = self.action
-        conj1 = self.g1.conj
+        conj1 = conjugation_table(self.g1)
         for a in self.g1.elements:
-            row = act[d[a]]
-            for b in self.g1.elements:
-                if row[b] != conj1(a, b):
-                    raise XModAxiomError(
-                        "cm2", (a, b),
-                        "boundary image must act by conjugation")
+            row = self.action[d[a]]
+            if row != conj1[a]:
+                b = next(b for b in self.g1.elements if row[b] != conj1[a][b])
+                raise XModAxiomError(
+                    "cm2", (a, b),
+                    "boundary image must act by conjugation")
 
     def act(self, x: int, a: int) -> int:
         return self.action[x][a]
@@ -522,8 +535,12 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     g1x, g1y = X.g1, Y.g1
     gens = generating_sequence(g1x)
     id_pair = (tuple(g1x.elements), tuple(X.g0.elements))
+    if X.g0 is Y.g0:
+        betas = automorphisms(X.g0)
+    else:
+        betas = all_isos(X.g0, Y.g0)
 
-    for beta in all_isos(X.g0, Y.g0):
+    for beta in betas:
         bt = beta.image_of
 
         def alpha_rec(k: int, pairs: list) -> Iterator[tuple[int, ...]]:

@@ -12,8 +12,11 @@ Frozen expectations:
 * groups of order 8: families {C8, C4xC2, C2^3} and {D8, Q8}. [PAPER]
 """
 
+import collections
+
 import pytest
 
+from helpers import relabeled_s3
 from xmodkit.catalog import GroupCatalog, load_catalog
 from xmodkit.census import (
     CensusError,
@@ -26,8 +29,14 @@ from xmodkit.census import (
     reduce_by_isomorphism,
     save_census,
 )
+from xmodkit.groups import all_isos, symmetric_group
 from xmodkit.values import PairValue
-from xmodkit.xmods import is_isomorphic_xmod, serialize_xmod
+from xmodkit.xmods import (
+    all_xmod_isos,
+    identity_xmod,
+    is_isomorphic_xmod,
+    serialize_xmod,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,59 @@ def test_class_map_is_sound_4_4():
     for i in range(0, raw.raw_count, 7):
         rep = reduced.representatives[reduced.class_map[i]]
         assert is_isomorphic_xmod(raw.representatives[i], rep, slow=True)
+
+
+def assert_orbit_stabilizer(result):
+    """Each class is one Aut(G1) x Aut(G0) orbit, so its size in the raw
+    set is |Aut G1| |Aut G0| / |Aut X|.  |Aut X| is counted by the
+    isomorphism search, independently of the orbit reduction."""
+    aut_order = {}
+    multiplicity = collections.Counter(result.class_map)
+    for r, X in enumerate(result.representatives):
+        for G in (X.g1, X.g0):
+            if G not in aut_order:
+                aut_order[G] = len(all_isos(G, G))
+        stabilizer = sum(1 for _ in all_xmod_isos(X, X))
+        assert multiplicity[r] * stabilizer == aut_order[X.g1] * aut_order[X.g0]
+
+
+@pytest.mark.parametrize("pair", [(8, 4), (9, 9), (12, 12)])
+def test_orbit_stabilizer_certificate(pair):
+    assert_orbit_stabilizer(census(*pair))
+
+
+def test_orbit_stabilizer_certificate_8_8(census88):
+    assert_orbit_stabilizer(census88)
+
+
+def test_orbit_stabilizer_certificate_18_18(census1818):
+    assert_orbit_stabilizer(census1818)
+
+
+def test_reduction_rejects_raw_set_not_closed_under_automorphisms():
+    raw = all_xmods(4, 4)
+    reduced = reduce_by_isomorphism(raw)
+    # a module that is not its class's representative has a nontrivial orbit
+    i = next(
+        i for i, r in enumerate(reduced.class_map)
+        if reduced.representatives[r] is not raw.representatives[i]
+    )
+    kept = raw.representatives[:i] + raw.representatives[i + 1:]
+    damaged = CensusResult(order_pair=(4, 4), raw_count=len(kept),
+                           representatives=kept)
+    with pytest.raises(CensusError, match="not closed"):
+        reduce_by_isomorphism(damaged)
+
+
+def test_reduction_rejects_isomorphic_distinct_groups():
+    # orbits of Aut(G1) x Aut(G0) never join modules on different tables
+    s3, t3 = symmetric_group(3), relabeled_s3()
+    assert s3.mul != t3.mul
+    raw = CensusResult(order_pair=(6, 6), raw_count=2,
+                       representatives=[identity_xmod(s3), identity_xmod(t3)])
+    with pytest.raises(CensusError, match="isomorphic groups"):
+        reduce_by_isomorphism(raw)
+    assert reduce_by_isomorphism(raw, slow=True).class_map == (0, 0)
 
 
 def test_raw_count_survives_catalog_permutation():

@@ -5,11 +5,14 @@ exhaustive brute force (independent of the library's search code), classical
 classification facts are stated as constants.
 """
 
+import time
 from itertools import product as iproduct
 
 import pytest
 
+from xmodkit.catalog import catalog_group
 from xmodkit.groups import (
+    AUT_TABLE_CAP,
     CapExceededError,
     FiniteGroup,
     GroupHom,
@@ -18,7 +21,9 @@ from xmodkit.groups import (
     all_homs,
     all_isos,
     alternating_group,
+    automorphism_generators,
     automorphism_group,
+    automorphisms,
     center,
     compose_perms,
     cyclic_group,
@@ -243,6 +248,56 @@ def test_automorphism_group_structure():
     with pytest.raises(CapExceededError):
         automorphism_group(group_from_generators(
             [tuple(range(1, 65)) + (0,)]))
+
+
+def test_automorphism_group_shares_the_cached_list():
+    d8 = dihedral_group(4)
+    auts = automorphisms(d8)
+    assert auts[0] == identity_hom(d8)
+    assert [f.image_of for f in auts] == [
+        f.image_of for f in all_isos(d8, d8)]
+    assert automorphism_group(d8)[1] is auts
+
+
+def test_automorphism_group_fails_fast_on_c2_4():
+    # a fresh copy of catalog 16:14 (C2^4), so no cached list is reused
+    e16 = FiniteGroup(catalog_group(16, 14).mul, catalog_id=(16, 14))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="20160"):
+        automorphism_group(e16)
+    assert time.perf_counter() - start < 30.0
+    assert len(automorphisms(e16)) == 20160 > AUT_TABLE_CAP
+    assert "aut" not in e16._cache
+
+
+def _perm_closure(gens, degree):
+    reached = {tuple(range(degree))}
+    frontier = list(reached)
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            r = compose_perms(p, q.image_of)
+            if r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    return reached
+
+
+def test_automorphism_generators_close_to_aut():
+    for G in (symmetric_group(3), dihedral_group(4), dicyclic_group(2),
+              abelian_group([2, 2, 2]), cyclic_group(1)):
+        gens = automorphism_generators(G)
+        assert _perm_closure(gens, G.order) == {
+            f.image_of for f in all_isos(G, G)}
+
+
+def test_automorphism_generators_of_c2_4_build_no_table():
+    e16 = catalog_group(16, 14)
+    gens = automorphism_generators(e16)
+    closure = _perm_closure(gens, 16)
+    assert len(closure) == 20160
+    assert closure == {f.image_of for f in automorphisms(e16)}
+    assert "aut" not in e16._cache
 
 
 def test_generating_sequence():

@@ -92,6 +92,44 @@ def test_axiom_code_cm2():
     assert len(err.value.witness) == 2
 
 
+def test_row_check_skips_only_rows_already_verified_on_the_group():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    make_xmod(c4, c2, (0, 0, 0, 0), [(0, 1, 2, 3), (0, 3, 2, 1)])
+    with pytest.raises(XModAxiomError) as err:
+        make_xmod(c4, c2, (0, 0, 0, 0), [(0, 1, 2, 3), (0, 2, 1, 3)])
+    assert err.value.code == "action-not-automorphic"
+    assert err.value.witness[0] == 1
+
+
+def test_axiom_witnesses_are_first_failures_in_scan_order():
+    # the checks compare whole tables at a time; the witness must still be
+    # the first failing pair, scanning the definition's quantifiers in order
+    c4 = cyclic_group(4)
+    ident, inv = (0, 1, 2, 3), (0, 3, 2, 1)
+    act = [ident, inv, ident, ident]
+    with pytest.raises(XModAxiomError) as err:
+        make_xmod(c4, c4, (0, 0, 0, 0), act)
+    assert err.value.witness == next(
+        (x, y) for x in range(4) for y in range(4)
+        if act[c4.mul[x][y]] != tuple(act[x][v] for v in act[y]))
+
+    c3, s3 = cyclic_group(3), symmetric_group(3)
+    three = next(g for g in s3.elements if s3.elem_order[g] == 3)
+    embed = (0, three, s3.mul[three][three])
+    trivial = [tuple(range(3))] * 6
+    with pytest.raises(XModAxiomError) as err:
+        make_xmod(c3, s3, embed, trivial)
+    assert err.value.witness == next(
+        (x, a) for x in s3.elements for a in c3.elements
+        if embed[trivial[x][a]] != s3.conj(x, embed[a]))
+
+    with pytest.raises(XModAxiomError) as err:
+        module_xmod(s3, cyclic_group(1))
+    assert err.value.witness == next(
+        (a, b) for a in s3.elements for b in s3.elements
+        if b != s3.conj(a, b))
+
+
 def test_action_shape_checked():
     c2 = cyclic_group(2)
     with pytest.raises(ValueError):
@@ -237,6 +275,17 @@ def test_self_isomorphism_identity_first():
     aut, auts = xmod_automorphism_group(x)
     assert aut.order == 6
     assert not aut.is_abelian()
+
+
+def test_self_isomorphisms_reuse_the_automorphism_list(monkeypatch):
+    import xmodkit.xmods as xmods_module
+
+    def refuse(*_):
+        raise AssertionError("Aut(G0) searched again")
+
+    monkeypatch.setattr(xmods_module, "all_isos", refuse)
+    x = identity_xmod(catalog_group(8, 3))
+    assert sum(1 for _ in all_xmod_isos(x, x)) == 8
 
 
 def test_module_xmod_automorphisms():
