@@ -12,8 +12,6 @@ group_census produces the analogous per-order family table for groups.
 from __future__ import annotations
 
 import itertools
-import math
-import multiprocessing
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +19,7 @@ from typing import Optional, Sequence
 
 from xmodkit import __version__ as ENGINE_VERSION
 
-from .catalog import GroupCatalog, catalog_group, load_catalog
+from .catalog import GroupCatalog, load_catalog
 from .groups import (
     FiniteGroup,
     all_homs,
@@ -154,16 +152,6 @@ def _aut_tables(G: FiniteGroup) -> tuple:
     return G._cache["auttables"]
 
 
-def _boundary_images(G1: FiniteGroup, G0: FiniteGroup) -> tuple:
-    key = ("homimgs", G0.catalog_id)
-    if G0.catalog_id is not None and key in G1._cache:
-        return G1._cache[key]
-    images = tuple(h.image_of for h in all_homs(G1, G0))
-    if G0.catalog_id is not None:
-        G1._cache[key] = images
-    return images
-
-
 def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
     """(action, boundary) image pairs satisfying CM1 and CM2.
 
@@ -173,7 +161,7 @@ def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
     make_xmod revalidates each survivor in full.
     """
     tables = _aut_tables(G1)
-    boundaries = _boundary_images(G1, G0)
+    boundaries = [h.image_of for h in all_homs(G1, G0)]
     gens1 = generating_sequence(G1)
     gens0 = generating_sequence(G0)
     conj = {a: tuple(G1.conj(a, b) for b in G1.elements) for a in gens1}
@@ -209,17 +197,10 @@ def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
     return hits
 
 
-def _stage1_task(args):
-    # worker entry: resolves groups from the bundled catalog by id
-    n, i1, m, i0, phi_images = args
-    return _stage1_scan(catalog_group(n, i1), catalog_group(m, i0), phi_images)
-
-
 def all_xmods(
     n: int,
     m: int,
     *,
-    workers: Optional[int] = None,
     catalog: Optional[GroupCatalog] = None,
 ) -> CensusResult:
     """Every crossed module of order [n, m] over catalog representatives.
@@ -227,43 +208,24 @@ def all_xmods(
     Iterates ordered pairs of catalog groups in catalog order, action
     homomorphisms G0 -> Aut(G1), and boundary homomorphisms G1 -> G0
     jointly satisfying CM1 and CM2.  The order of the output is
-    deterministic.  workers > 1 spreads the scan over a process pool
-    (bundled catalog only); a custom catalog runs sequentially.
+    deterministic.
     """
     cat = catalog if catalog is not None else load_catalog()
     ents1 = cat.entries_of_order(n)
     ents0 = cat.entries_of_order(m)
     if not ents1 or not ents0:
         raise ValueError(f"catalog does not cover order pair [{n},{m}]")
-    pool_ok = workers is not None and workers > 1 and catalog is None
-    tasks = []
+    raw = []
     for e1 in ents1:
         G1 = cat.group(e1.order, e1.index)
         aut_carrier, _ = automorphism_group(G1)
+        tables = _aut_tables(G1)
         for e0 in ents0:
             G0 = cat.group(e0.order, e0.index)
-            actions = tuple(h.image_of for h in all_homs(G0, aut_carrier))
-            step = len(actions)
-            if pool_ok:
-                step = max(1, math.ceil(len(actions) / (workers * 2)))
-            for lo in range(0, len(actions), step):
-                tasks.append((n, e1.index, m, e0.index, actions[lo:lo + step]))
-    if pool_ok:
-        with multiprocessing.Pool(workers) as pool:
-            payloads = pool.map(_stage1_task, tasks, chunksize=1)
-    else:
-        payloads = [
-            _stage1_scan(cat.group(n, t[1]), cat.group(m, t[3]), t[4])
-            for t in tasks
-        ]
-    raw = []
-    for task, hits in zip(tasks, payloads):
-        G1 = cat.group(n, task[1])
-        G0 = cat.group(m, task[3])
-        tables = _aut_tables(G1)
-        for phi, img in hits:
-            rows = tuple(tables[j] for j in phi)
-            raw.append(make_xmod(G1, G0, img, rows))
+            actions = [h.image_of for h in all_homs(G0, aut_carrier)]
+            for phi, img in _stage1_scan(G1, G0, actions):
+                rows = tuple(tables[j] for j in phi)
+                raw.append(make_xmod(G1, G0, img, rows))
     return CensusResult(
         order_pair=(n, m),
         raw_count=len(raw),
@@ -604,7 +566,6 @@ def census(
     n: int,
     m: int,
     *,
-    workers: Optional[int] = None,
     cache_dir=None,
     slow: bool = False,
 ) -> CensusResult:
@@ -619,7 +580,7 @@ def census(
         if cached is not None:
             return cached
     result = classify_families(
-        reduce_by_isomorphism(all_xmods(n, m, workers=workers), slow=slow),
+        reduce_by_isomorphism(all_xmods(n, m), slow=slow),
         slow=slow,
     )
     if cache_dir is not None:

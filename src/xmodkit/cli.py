@@ -3,8 +3,8 @@
 Subcommands answer either a question (exit 0 for a mathematical yes, 1 for
 a mathematical no, with "true"/"false" on stdout) or produce a table in
 text, CSV, or JSON form.  Usage problems and unreadable data exit 2.
-Configuration flags fall back to XMODKIT_* environment variables; a flag
-always wins over its variable.
+--cache-dir falls back to the XMODKIT_CACHE_DIR environment variable; the
+flag always wins over the variable.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import groups as _groups
 from .catalog import GroupCatalog, import_catalog, load_catalog
 from .census import CensusResult, GroupFamilyReport, census, group_census
-from .groups import CapExceededError
+from .groups import CapExceededError, is_isoclinic_group
 from .invariants import (
     center_xmod,
     derived_subxmod,
@@ -40,9 +39,6 @@ from .xmods import parse_xmod
 FORMATS = ("text", "csv", "json")
 
 _ENV_CACHE = "XMODKIT_CACHE_DIR"
-_ENV_WORKERS = "XMODKIT_WORKERS"
-_ENV_AUT_CAP = "XMODKIT_AUT_CAP"
-_ENV_CLOSURE_CAP = "XMODKIT_CLOSURE_CAP"
 
 
 @dataclass(frozen=True)
@@ -238,15 +234,6 @@ def _options_parent() -> argparse.ArgumentParser:
     parent.add_argument("--format", choices=FORMATS)
     parent.add_argument("--cache-dir", help=f"census cache (env {_ENV_CACHE})")
     parent.add_argument(
-        "--workers", type=int, help=f"enumeration processes (env {_ENV_WORKERS})"
-    )
-    parent.add_argument(
-        "--aut-cap", type=int, help=f"automorphism search cap (env {_ENV_AUT_CAP})"
-    )
-    parent.add_argument(
-        "--closure-cap", type=int, help=f"closure size cap (env {_ENV_CLOSURE_CAP})"
-    )
-    parent.add_argument(
         "--paper-row",
         action="store_true",
         help="annotate group tables with the fingerprint-matched id",
@@ -313,30 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _apply_config(args) -> dict:
-    def flag(name):
-        return getattr(args, name, None)
-
-    return {
-        "cache_dir": flag("cache_dir") or os.environ.get(_ENV_CACHE) or None,
-        "workers": flag("workers") if flag("workers") is not None else _env_int(_ENV_WORKERS),
-        "aut_cap": flag("aut_cap") if flag("aut_cap") is not None else _env_int(_ENV_AUT_CAP),
-        "closure_cap": (
-            flag("closure_cap")
-            if flag("closure_cap") is not None
-            else _env_int(_ENV_CLOSURE_CAP)
-        ),
-    }
+def _cache_dir(args):
+    return getattr(args, "cache_dir", None) or os.environ.get(_ENV_CACHE) or None
 
 
 def _xmod_invariants_table(X, format: str) -> ReportTable:
@@ -390,18 +355,13 @@ _PUBLISHED_HEAD = (
 
 
 def _dispatch(args, out) -> int:
-    config = _apply_config(args)
     fmt = getattr(args, "format", "text")
-    if config["aut_cap"] is not None:
-        _groups.DEFAULT_AUT_CAP = config["aut_cap"]
-    if config["closure_cap"] is not None:
-        _groups.DEFAULT_CLOSURE_CAP = config["closure_cap"]
 
     if args.command == "groups" and args.subcommand == "isoclinic":
         cat = load_catalog()
         G = cat.group(*_parse_group_id(args.id1))
         H = cat.group(*_parse_group_id(args.id2))
-        witness = _groups.is_isoclinic_group(G, H)
+        witness = is_isoclinic_group(G, H)
         print("true" if witness else "false", file=out)
         return 0 if witness else 1
 
@@ -417,21 +377,13 @@ def _dispatch(args, out) -> int:
 
     if args.command == "xmods" and args.subcommand == "census":
         raw, classes, families = census(
-            args.n,
-            args.m,
-            workers=config["workers"],
-            cache_dir=config["cache_dir"],
+            args.n, args.m, cache_dir=_cache_dir(args)
         ).counts()
         print(f"({raw},{classes},{families})", file=out)
         return 0
 
     if args.command == "xmods" and args.subcommand == "families":
-        result = census(
-            args.n,
-            args.m,
-            workers=config["workers"],
-            cache_dir=config["cache_dir"],
-        )
+        result = census(args.n, args.m, cache_dir=_cache_dir(args))
         print(emit(render_report(result, fmt)), end="", file=out)
         return 0
 
@@ -463,9 +415,7 @@ def _dispatch(args, out) -> int:
             )
         else:
             n, m = xmod_orders[args.table]
-            result = census(
-                n, m, workers=config["workers"], cache_dir=config["cache_dir"]
-            )
+            result = census(n, m, cache_dir=_cache_dir(args))
             table = render_report(result, fmt)
             if fmt != "csv":
                 title = (f"Table {number[args.table]}",) + tuple(
@@ -488,7 +438,6 @@ def _dispatch(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    saved_caps = (_groups.DEFAULT_AUT_CAP, _groups.DEFAULT_CLOSURE_CAP)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -498,8 +447,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        _groups.DEFAULT_AUT_CAP, _groups.DEFAULT_CLOSURE_CAP = saved_caps
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _closure_map,
-    generating_sequence,
+    _extensions,
 )
 from .xmods import (
     CrossedModule,
@@ -159,35 +158,15 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
     semi = _semidirect_table(X)
     g0 = X.g0
     n0 = g0.order
-    gens = generating_sequence(g0)
-    maps = []
+    eo0, eos = g0.elem_order, semi.elem_order
 
-    def extend(level: int, pairs: list) -> None:
-        if level == len(gens):
-            found = _closure_map(g0, semi, pairs)
-            if found is not None and len(found) == n0:
-                maps.append(found)
-            return
-        g = gens[level]
-        target_order = g0.elem_order[g]
-        for a in X.g1.elements:
-            s = a * n0 + g
-            if semi.elem_order[s] != target_order:
-                continue
-            more = pairs + [(g, s)]
-            if _closure_map(g0, semi, more) is None:
-                continue
-            extend(level + 1, more)
+    def candidates(g: int) -> list[int]:
+        return [s for s in range(g, semi.order, n0) if eos[s] == eo0[g]]
 
-    extend(0, [])
     tables = []
-    for found in maps:
-        img = [0] * n0
-        for x in g0.elements:
-            s = found[x]
-            assert s % n0 == x
-            img[x] = s // n0
-        tables.append(tuple(img))
+    for found in _extensions(g0, semi, candidates):
+        assert all(s % n0 == x for x, s in enumerate(found))
+        tables.append(tuple(s // n0 for s in found))
     zero = (X.g1.identity,) * n0
     tables.sort(key=lambda t: (t != zero, t))
     elements = tuple(Derivation(X, t, check=False) for t in tables)

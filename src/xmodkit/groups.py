@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .values import NOT_NILPOTENT, LogValue
 
@@ -591,101 +591,77 @@ def _closure_map(
     return image
 
 
-def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
-    """Every homomorphism G -> H, by generator-image backtracking."""
-    gens = generating_sequence(G)
-    out: list[GroupHom] = []
+def _extensions(
+    G: FiniteGroup, H: FiniteGroup, candidates: Callable[[int], Iterable[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Image tables of the homomorphisms G -> H whose generator images come
+    from candidates, by generator-image backtracking.
 
-    def rec(k: int, pairs: list[tuple[int, int]]):
-        if k == len(gens):
-            image = _closure_map(G, H, pairs)
-            if image is not None and len(image) == G.order:
-                out.append(
-                    GroupHom(G, H, tuple(image[x] for x in G.elements), check=False)
-                )
-            return
+    Walks generating_sequence(G), trying candidates(g) in the order given
+    and pruning each partial assignment whose closure is inconsistent.
+    The generators generate G, so the closure of a full assignment is the
+    whole map and is yielded without closing it again.
+    """
+    gens = generating_sequence(G)
+    if not gens:
+        return iter([(H.identity,)])
+    last = len(gens) - 1
+    pairs: list[tuple[int, int]] = []
+
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
         g = gens[k]
-        g_ord = G.elem_order[g]
-        for h in H.elements:
-            if g_ord % H.elem_order[h] != 0:
-                continue
+        for h in candidates(g):
             pairs.append((g, h))
-            if _closure_map(G, H, pairs) is not None:
-                rec(k + 1, pairs)
+            image = _closure_map(G, H, pairs)
+            if image is not None:
+                if k == last:
+                    yield tuple(image[x] for x in G.elements)
+                else:
+                    yield from rec(k + 1)
             pairs.pop()
 
-    rec(0, [])
-    return out
+    return rec(0)
+
+
+def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
+    """Every homomorphism G -> H, by generator-image backtracking."""
+    eg, eh = G.elem_order, H.elem_order
+    return [
+        GroupHom(G, H, t, check=False)
+        for t in _extensions(
+            G, H, lambda g: [h for h in H.elements if eg[g] % eh[h] == 0]
+        )
+    ]
+
+
+def _iso_tables(G: FiniteGroup, H: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """Image tables of the isomorphisms G -> H in backtracking order."""
+    if G.order != H.order or sorted(G.elem_order) != sorted(H.elem_order):
+        return iter(())
+    eg, eh = G.elem_order, H.elem_order
+    tables = _extensions(
+        G, H, lambda g: [h for h in H.elements if eh[h] == eg[g]]
+    )
+    return (t for t in tables if len(set(t)) == G.order)
 
 
 def all_isos(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     """Every isomorphism G -> H; for G against itself, identity first."""
-    if G.order != H.order:
-        return []
-    if sorted(G.elem_order) != sorted(H.elem_order):
-        return []
-    same = G is H or G.mul == H.mul
-    gens = generating_sequence(G)
-    ident = tuple(G.elements)
-    out: list[GroupHom] = []
-    if same:
-        out.append(identity_hom(G))
-
-    def rec(k: int, pairs: list[tuple[int, int]]):
-        if k == len(gens):
-            image = _closure_map(G, H, pairs)
-            if image is not None and len(image) == G.order:
-                table = tuple(image[x] for x in G.elements)
-                if len(set(table)) == G.order and not (same and table == ident):
-                    out.append(GroupHom(G, H, table, check=False))
-            return
-        g = gens[k]
-        g_ord = G.elem_order[g]
-        for h in H.elements:
-            if H.elem_order[h] != g_ord:
-                continue
-            pairs.append((g, h))
-            if _closure_map(G, H, pairs) is not None:
-                rec(k + 1, pairs)
-            pairs.pop()
-
-    rec(0, [])
-    return out
+    tables = list(_iso_tables(G, H))
+    if G is H or G.mul == H.mul:
+        ident = tuple(G.elements)
+        return [identity_hom(G)] + [
+            GroupHom(G, H, t, check=False) for t in tables if t != ident
+        ]
+    return [GroupHom(G, H, t, check=False) for t in tables]
 
 
 def first_iso(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     """The first isomorphism G -> H in backtracking order, or None."""
-    if G.order != H.order:
-        return None
-    if sorted(G.elem_order) != sorted(H.elem_order):
-        return None
     if G is H or G.mul == H.mul:
         return identity_hom(G)
-    gens = generating_sequence(G)
-
-    def rec(k: int, pairs: list[tuple[int, int]]) -> Optional[GroupHom]:
-        if k == len(gens):
-            image = _closure_map(G, H, pairs)
-            if image is not None and len(image) == G.order:
-                table = tuple(image[x] for x in G.elements)
-                if len(set(table)) == G.order:
-                    return GroupHom(G, H, table, check=False)
-            return None
-        g = gens[k]
-        g_ord = G.elem_order[g]
-        for h in H.elements:
-            if H.elem_order[h] != g_ord:
-                continue
-            pairs.append((g, h))
-            if _closure_map(G, H, pairs) is not None:
-                found = rec(k + 1, pairs)
-                if found is not None:
-                    pairs.pop()
-                    return found
-            pairs.pop()
-        return None
-
-    return rec(0, [])
+    table = next(_iso_tables(G, H), None)
+    return None if table is None else GroupHom(G, H, table, check=False)
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:

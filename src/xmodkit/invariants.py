@@ -105,12 +105,16 @@ class SeriesRecord:
 
 
 def lower_central_series(X: CrossedModule) -> SeriesRecord:
-    terms = [full_subxmod(X)]
-    while True:
-        nxt = relative_commutator(X, terms[-1])
-        if nxt.members() == terms[-1].members():
-            return SeriesRecord("lower-central", tuple(terms))
-        terms.append(nxt)
+    """gamma_1 = X, gamma_{i+1} = [gamma_i, X]; computed once per module."""
+    if "lcs" not in X._cache:
+        terms = [full_subxmod(X)]
+        while True:
+            nxt = relative_commutator(X, terms[-1])
+            if nxt.members() == terms[-1].members():
+                break
+            terms.append(nxt)
+        X._cache["lcs"] = SeriesRecord("lower-central", tuple(terms))
+    return X._cache["lcs"]
 
 
 def nilpotency_class(X: CrossedModule):

@@ -19,12 +19,11 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _closure_map,
+    _extensions,
     all_isos,
     automorphisms,
     compose_perms,
     conjugation_table,
-    generating_sequence,
     group_fingerprint,
     identity_hom,
     quotient_group,
@@ -533,7 +532,7 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
         yield identity_morphism(X)
     dX, dY = X.boundary.image_of, Y.boundary.image_of
     g1x, g1y = X.g1, Y.g1
-    gens = generating_sequence(g1x)
+    eo_x, eo_y = g1x.elem_order, g1y.elem_order
     id_pair = (tuple(g1x.elements), tuple(X.g0.elements))
     if X.g0 is Y.g0:
         betas = automorphisms(X.g0)
@@ -543,26 +542,13 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     for beta in betas:
         bt = beta.image_of
 
-        def alpha_rec(k: int, pairs: list) -> Iterator[tuple[int, ...]]:
-            if k == len(gens):
-                image = _closure_map(g1x, g1y, pairs)
-                if image is not None and len(image) == g1x.order:
-                    img = tuple(image[x] for x in g1x.elements)
-                    if len(set(img)) == g1x.order:
-                        yield img
-                return
-            g = gens[k]
-            g_ord = g1x.elem_order[g]
-            target_d = bt[dX[g]]
-            for h in g1y.elements:
-                if g1y.elem_order[h] != g_ord or dY[h] != target_d:
-                    continue
-                pairs.append((g, h))
-                if _closure_map(g1x, g1y, pairs) is not None:
-                    yield from alpha_rec(k + 1, pairs)
-                pairs.pop()
+        def candidates(g: int) -> list[int]:
+            want = bt[dX[g]]
+            return [h for h in g1y.elements if eo_y[h] == eo_x[g] and dY[h] == want]
 
-        for img in alpha_rec(0, []):
+        for img in _extensions(g1x, g1y, candidates):
+            if len(set(img)) != g1x.order:
+                continue
             ok = all(dY[img[a]] == bt[dX[a]] for a in g1x.elements)
             if ok:
                 for x in X.g0.elements:

@@ -4,7 +4,6 @@ Each census is built exactly once per session, without a cache directory,
 and its wall-clock build time is recorded for the runtime assertions.
 """
 
-import os
 import time
 
 import pytest
@@ -33,8 +32,7 @@ def census44():
 
 @pytest.fixture(scope="session")
 def census88():
-    workers = min(8, os.cpu_count() or 1)
-    return _timed("census88", lambda: census(8, 8, workers=workers))
+    return _timed("census88", lambda: census(8, 8))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import collections
 
 import pytest
 
-from helpers import relabeled_s3
+from helpers import inversion_module_c8, relabeled_s3
 from xmodkit.catalog import GroupCatalog, load_catalog
 from xmodkit.census import (
     CensusError,
@@ -85,6 +85,23 @@ def test_family_profiles_4_4(finished44):
     assert other.gamma_sizes == ((2, 1),)
 
 
+def test_member_row_builds_the_lower_central_series_once(monkeypatch):
+    import xmodkit.invariants as inv
+    from xmodkit.census import _member_row
+
+    X = inversion_module_c8()  # four terms: one commutator step for each
+    calls = []
+    real = inv.relative_commutator
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "relative_commutator", counting)
+    _member_row(X)
+    assert len(calls) == len(inv.lower_central_series(X).terms) == 4
+
+
 def test_class_map_is_sound_4_4():
     raw = all_xmods(4, 4)
     reduced = reduce_by_isomorphism(raw)
@@ -151,14 +168,6 @@ def test_raw_count_survives_catalog_permutation():
     reversed_four = list(reversed(bundled.entries_of_order(4)))
     shuffled = GroupCatalog("perm-test", reversed_four)
     assert all_xmods(4, 4, catalog=shuffled).raw_count == 60
-
-
-def test_workers_produce_sequential_order():
-    serial = all_xmods(4, 4)
-    pooled = all_xmods(4, 4, workers=2)
-    assert [serialize_xmod(x) for x in pooled.representatives] == [
-        serialize_xmod(x) for x in serial.representatives
-    ]
 
 
 def test_missing_order_pair_raises():

@@ -179,11 +179,6 @@ def test_cache_dir_env_fallback_and_flag_priority(tmp_path, monkeypatch, capsys)
     assert (flag_dir / "census-4-4" / "meta").exists()
 
 
-def test_workers_env_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("XMODKIT_WORKERS", "many")
-    assert run(capsys, "xmods", "census", "4", "4")[0] == 2
-
-
 def test_xmods_invariants(tmp_path, capsys):
     path = tmp_path / "inv.xmod"
     path.write_text(serialize_xmod(inversion_module_c8()))

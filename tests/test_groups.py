@@ -5,12 +5,13 @@ exhaustive brute force (independent of the library's search code), classical
 classification facts are stated as constants.
 """
 
+import hashlib
 import time
 from itertools import product as iproduct
 
 import pytest
 
-from xmodkit.catalog import catalog_group
+from xmodkit.catalog import catalog_group, load_catalog
 from xmodkit.groups import (
     AUT_TABLE_CAP,
     CapExceededError,
@@ -31,6 +32,7 @@ from xmodkit.groups import (
     dicyclic_group,
     dihedral_group,
     direct_product,
+    first_iso,
     generating_sequence,
     group_family_partition,
     group_fingerprint,
@@ -471,3 +473,57 @@ def test_fingerprint_separates():
     assert group_fingerprint(dihedral_group(4)) != group_fingerprint(dicyclic_group(2))
     assert group_fingerprint(cyclic_group(6)) == group_fingerprint(
         direct_product(cyclic_group(2), cyclic_group(3)))
+
+
+# --- enumeration order ---
+
+
+def _relabelled(G):
+    """A copy of G with every non-identity element index reversed."""
+    n = G.order
+    sigma = [0] + list(range(n - 1, 0, -1))
+    table = [[0] * n for _ in range(n)]
+    for a in G.elements:
+        for b in G.elements:
+            table[sigma[a]][sigma[b]] = sigma[G.mul[a][b]]
+    return FiniteGroup(table, check=False)
+
+
+def test_search_order_is_pinned():
+    """Automorphism lists feed the action tables, so the order in which the
+    searches list their results fixes the census representatives and cache
+    bytes.  Other tests check the sets; this pins the order, and its digest
+    changes only with a change that means to reorder them."""
+    from xmodkit.census import all_xmods, reduce_by_isomorphism
+    from xmodkit.derivations import all_derivations
+    from xmodkit.xmods import all_xmod_isos
+
+    cat = load_catalog()
+    digest = hashlib.sha256()
+
+    def feed(tag, tables):
+        digest.update(repr((tag, [tuple(t) for t in tables])).encode())
+
+    for e in cat.entries:
+        if (e.order, e.index) == (16, 14):  # C2^4: 20160 automorphisms
+            continue
+        G = cat.group(e.order, e.index)
+        R = _relabelled(G)
+        feed(("aut", e.order, e.index), [f.image_of for f in automorphisms(G)])
+        feed(("first", e.order, e.index), [first_iso(G, R).image_of])
+        feed(("isos", e.order, e.index), [f.image_of for f in all_isos(G, R)])
+    small = [cat.group(e.order, e.index) for e in cat.entries if e.order <= 8]
+    for i, G in enumerate(small):
+        for j, H in enumerate(small):
+            feed(("homs", i, j), [f.image_of for f in all_homs(G, H)])
+    for n, m in ((4, 4), (8, 4), (6, 6)):
+        reps = reduce_by_isomorphism(all_xmods(n, m)).representatives
+        for i, X in enumerate(reps):
+            feed(("xauts", n, m, i), [
+                f.alpha.image_of + f.beta.image_of for f in all_xmod_isos(X, X)
+            ])
+            feed(("ders", n, m, i),
+                 [d.image_of for d in all_derivations(X).elements])
+    assert digest.hexdigest() == (
+        "3ebb48495aef35d0c74e1fcc6cb7434de3345e8d546e20d7dfb07ac5d07ba5fa"
+    )
