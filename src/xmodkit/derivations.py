@@ -11,6 +11,8 @@ of the actor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
 
 from .groups import (
     CapExceededError,
@@ -18,6 +20,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _extensions,
+    compose_perms,
 )
 from .xmods import (
     CrossedModule,
@@ -91,19 +94,16 @@ def _semidirect_table(X: CrossedModule) -> FiniteGroup:
     """g1 x| g0 with (a, x)(b, y) = (a * ^x b, xy); index a*|g0| + x."""
     n0 = X.g0.order
     mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
-    rows = []
-    for a in X.g1.elements:
-        ra = mul1[a]
-        for x in X.g0.elements:
-            rx = act[x]
-            mx = mul0[x]
-            rows.append(
-                tuple(
-                    ra[rx[b]] * n0 + mx[y]
-                    for b in X.g1.elements
-                    for y in X.g0.elements
-                )
-            )
+    rows = [None] * (X.g1.order * n0)
+    for x in X.g0.elements:
+        mx = mul0[x]
+        # blocks[c] is the row segment (c, x*y) for every y, whole mul0 rows
+        blocks = [tuple(c * n0 + v for v in mx) for c in X.g1.elements]
+        rx = act[x]
+        for a in X.g1.elements:
+            rows[a * n0 + x] = tuple(chain.from_iterable(
+                blocks[c] for c in compose_perms(mul1[a], rx)
+            ))
     return FiniteGroup(rows, check=False)
 
 
@@ -171,17 +171,22 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
     tables.sort(key=lambda t: (t != zero, t))
     elements = tuple(Derivation(X, t, check=False) for t in tables)
     index = {d.image_of: i for i, d in enumerate(elements)}
-    op = []
-    for d1 in elements:
-        row = []
-        for d2 in elements:
-            composed = circle_product(d1, d2)
-            k = index.get(composed.image_of)
-            if k is None:
-                raise RuntimeError("circle product left the derivation set")
-            row.append(k)
-        op.append(tuple(row))
-    monoid = DerivationMonoid(X, elements, tuple(op))
+    mul0, mul1, bnd = X.g0.mul, X.g1.mul, X.boundary.image_of
+    # column j is d1 o d2 for d2 = elements[j] and every d1, as in
+    # circle_product: (d1 o d2)(x) = d1(u(x)) * d2(x), u(x) = bnd(d2(x)) x
+    columns = []
+    for d2 in elements:
+        i2 = d2.image_of
+        u = tuple(mul0[bnd[v]][x] for x, v in enumerate(i2))
+        column = [
+            index.get(tuple(map(
+                getitem, compose_perms(mul1, compose_perms(i1, u)), i2)))
+            for i1 in tables
+        ]
+        if None in column:
+            raise RuntimeError("circle product left the derivation set")
+        columns.append(column)
+    monoid = DerivationMonoid(X, elements, tuple(zip(*columns)))
     X._cache["dermonoid"] = monoid
     return monoid
 
@@ -273,8 +278,7 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
         beta_inv = morphisms[auts.inv[j]].beta.image_of
         row = []
         for der in w.member_derivations:
-            img = der.image_of
-            moved = tuple(alpha[img[beta_inv[x]]] for x in X.g0.elements)
+            moved = compose_perms(alpha, compose_perms(der.image_of, beta_inv))
             k = der_of.get(moved)
             if k is None:
                 raise RuntimeError(

@@ -46,27 +46,29 @@ class FiniteGroup:
         catalog_id: Optional[tuple[int, int]] = None,
         check: bool = True,
     ):
-        table = tuple(tuple(int(v) for v in row) for row in mul)
+        table = tuple(tuple(map(int, row)) for row in mul)
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
         for row in table:
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
-            if any(v < 0 or v >= n for v in row):
+            if min(row) < 0 or max(row) >= n:
                 raise ValueError("table entry out of range")
-        full = frozenset(range(n))
+        # entries are in range, so n distinct entries make a permutation
         for i, row in enumerate(table):
-            if frozenset(row) != full:
+            if len(set(row)) != n:
                 raise ValueError(f"row {i} is not a permutation")
-        for j in range(n):
-            if frozenset(table[i][j] for i in range(n)) != full:
+        for j, col in enumerate(zip(*table)):
+            if len(set(col)) != n:
                 raise ValueError(f"column {j} is not a permutation")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
+        ident_row = tuple(range(n))
+        identity = next(
+            (e for e in range(n)
+             if table[e] == ident_row
+             and tuple(map(itemgetter(e), table)) == ident_row),
+            None,
+        )
         if identity is None:
             raise ValueError("no two-sided identity")
         # associativity is exhaustively checkable only at small orders;
@@ -318,10 +320,7 @@ def group_from_closure(
     if max_order is None:
         max_order = DEFAULT_CLOSURE_CAP
     elements, index = _closure_elements(generators, op, identity, max_order)
-    table = tuple(
-        tuple(index[op(a, b)] for b in elements) for a in elements
-    )
-    return FiniteGroup(table), elements
+    return FiniteGroup(_cayley_table(elements, index, op)), elements
 
 
 def _closure_elements(
@@ -350,11 +349,52 @@ def _closure_elements(
     return elements, index
 
 
+def _cayley_table(
+    elements: Sequence[Hashable],
+    index: dict,
+    op: Callable[[Hashable, Hashable], Hashable],
+) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of a closed element list, identity first,
+    built from a Cayley graph instead of |G|^2 calls to op.
+
+    Generators are picked greedily in index order.  Each generator g costs
+    one right-multiplication map R_g = (index[e_i g])_i; every other column
+    t, with e_t = e_c g for a column c already known, is R_g composed with
+    column c, since e_i e_t = (e_i e_c) g.  By associativity this is the
+    table of op, entry for entry.
+    """
+    n = len(elements)
+    cols: list = [None] * n
+    cols[0] = tuple(range(n))
+    rights: list[tuple[int, ...]] = []
+    for g in range(n):
+        if cols[g] is not None:
+            continue
+        right = tuple(index[op(a, elements[g])] for a in elements)
+        cols[g] = right
+        rights.append(right)
+        # walk the Cayley graph of the generators so far from the identity
+        seen = [False] * n
+        seen[0] = True
+        queue = [0]
+        for c in queue:
+            for r in rights:
+                t = r[c]
+                if not seen[t]:
+                    seen[t] = True
+                    queue.append(t)
+                    if cols[t] is None:
+                        cols[t] = compose_perms(r, cols[c])
+    return tuple(zip(*cols))
+
+
 def conjugation_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Row g is the image table of x -> g x g^-1; computed once per group."""
     if "conjtab" not in G._cache:
+        # g x g^-1 is column g^-1 of the table read at the entries of row g
         G._cache["conjtab"] = tuple(
-            tuple(G.conj(g, x) for x in G.elements) for g in G.elements
+            compose_perms(tuple(map(itemgetter(G.inv[g]), G.mul)), G.mul[g])
+            for g in G.elements
         )
     return G._cache["conjtab"]
 
@@ -716,11 +756,9 @@ def automorphism_group(
         raise CapExceededError(
             f"|Aut G| = {len(auts)} exceeds the table cap of {AUT_TABLE_CAP}"
         )
-    index = {f.image_of: i for i, f in enumerate(auts)}
-    table = tuple(
-        tuple(index[compose_perms(f.image_of, g.image_of)] for g in auts)
-        for f in auts
-    )
+    elements = [f.image_of for f in auts]
+    index = {t: i for i, t in enumerate(elements)}
+    table = _cayley_table(elements, index, compose_perms)
     result = (FiniteGroup(table, check=False), auts)
     G._cache["aut"] = result
     return result

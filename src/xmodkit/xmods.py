@@ -19,11 +19,13 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cayley_table,
     _extensions,
     all_isos,
     automorphisms,
     compose_perms,
     conjugation_table,
+    generating_sequence,
     group_fingerprint,
     identity_hom,
     quotient_group,
@@ -82,6 +84,7 @@ class CrossedModule:
         n = self.g1.order
         mul1 = self.g1.mul
         full = frozenset(range(n))
+        gens = generating_sequence(self.g1)
         # rows already shown to be automorphisms of this group table
         passed = self.g1._cache.setdefault("automorphic_rows", set())
         for x, row in enumerate(self.action):
@@ -91,14 +94,26 @@ class CrossedModule:
                 raise XModAxiomError(
                     "action-not-automorphic", (x, None),
                     f"row {x} is not a bijection")
-            for a in range(n):
-                ra = mul1[a]
-                for b in range(n):
-                    if row[ra[b]] != mul1[row[a]][row[b]]:
-                        raise XModAxiomError(
-                            "action-not-automorphic", (x, (a, b)),
-                            "row does not respect the product")
+            # row(a s) = row(a) row(s) for the generators s of g1 gives
+            # row(a b) = row(a) row(b) by induction on a word for b
+            if not all(
+                row[ra[s]] == mul1[r][row[s]]
+                for s in gens for ra, r in zip(mul1, row)
+            ):
+                self._scan_action_row(x, row)
             passed.add(row)
+
+    def _scan_action_row(self, x: int, row: tuple[int, ...]):
+        """Raise at the first pair (a, b), in scan order, where row x does
+        not respect the product."""
+        mul1 = self.g1.mul
+        for a in self.g1.elements:
+            ra = mul1[a]
+            for b in self.g1.elements:
+                if row[ra[b]] != mul1[row[a]][row[b]]:
+                    raise XModAxiomError(
+                        "action-not-automorphic", (x, (a, b)),
+                        "row does not respect the product")
 
     def _check_action_hom(self):
         ident = tuple(self.g1.elements)
@@ -112,6 +127,17 @@ class CrossedModule:
         rows = list(dict.fromkeys(self.action))
         index = {row: i for i, row in enumerate(rows)}
         idx = [index[row] for row in self.action]
+        # act(x s) = act(x) act(s) for the generators s of g0 gives
+        # act(x y) = act(x) act(y) by induction on a word for y
+        for s in generating_sequence(self.g0):
+            cs = [index.get(compose_perms(r, self.action[s]), -1) for r in rows]
+            if any(idx[mx[s]] != cs[i] for mx, i in zip(mul0, idx)):
+                self._scan_action_hom(rows, index, idx)
+
+    def _scan_action_hom(self, rows, index, idx):
+        """Raise at the first pair (x, y), in scan order, where the action
+        of the product is not the composite."""
+        mul0 = self.g0.mul
         comp = [[index.get(compose_perms(r, s), -1) for s in rows] for r in rows]
         for x in self.g0.elements:
             cx, mx = comp[idx[x]], mul0[x]
@@ -178,7 +204,11 @@ def make_xmod(
 ) -> CrossedModule:
     """Build and fully validate a crossed module.
 
-    boundary may be a GroupHom or a plain image table.
+    boundary may be a GroupHom or a plain image table.  The action laws
+    are checked on generators: each row against the generators of g1, and
+    the action of a product against the generators of g0, which implies
+    them for every pair.  When a generator check fails, the full table is
+    scanned, so the error carries the first failing pair in scan order.
     """
     if not isinstance(boundary, GroupHom):
         boundary = GroupHom(g1, g0, boundary)
@@ -582,20 +612,12 @@ def xmod_automorphism_group(
     if "aut" in X._cache:
         return X._cache["aut"]
     auts = list(all_xmod_isos(X, X))
-    index = {
-        (f.alpha.image_of, f.beta.image_of): i for i, f in enumerate(auts)
-    }
-    table = []
-    for f in auts:
-        fa, fb = f.alpha.image_of, f.beta.image_of
-        row = []
-        for g in auts:
-            key = (
-                compose_perms(fa, g.alpha.image_of),
-                compose_perms(fb, g.beta.image_of),
-            )
-            row.append(index[key])
-        table.append(row)
+    elements = [(f.alpha.image_of, f.beta.image_of) for f in auts]
+    index = {pair: i for i, pair in enumerate(elements)}
+    table = _cayley_table(
+        elements, index,
+        lambda f, g: (compose_perms(f[0], g[0]), compose_perms(f[1], g[1])),
+    )
     group = FiniteGroup(table, check=False)
     result = (group, auts)
     X._cache["aut"] = result

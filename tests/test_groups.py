@@ -36,6 +36,7 @@ from xmodkit.groups import (
     generating_sequence,
     group_family_partition,
     group_fingerprint,
+    group_from_closure,
     group_from_generators,
     group_lower_central_series,
     group_middle_length,
@@ -94,13 +95,21 @@ def test_closure_cap():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [1, 1]])  # row not a permutation
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1]])  # not square
-    with pytest.raises(ValueError):
+    # one case per check, in the order the constructor runs them
+    for table, message in [
+        ([], "empty multiplication table"),
+        ([[0, 1]], "multiplication table must be square"),
+        ([[0, 1], [1, 2]], "table entry out of range"),
+        ([[0, -1], [1, 0]], "table entry out of range"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation"),
+        # every row a permutation, column 0 not
+        ([[0, 1], [0, 1]], "column 0 is not a permutation"),
         # Latin square with no two-sided identity
-        FiniteGroup([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
+        ([[1, 0, 2], [0, 2, 1], [2, 1, 0]], "no two-sided identity"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(table)
+        assert str(err.value) == message
     # Z/4 written with a shifted identity is still accepted
     shifted = [[(i + j - 1) % 4 for j in range(4)] for i in range(4)]
     g = FiniteGroup(shifted)
@@ -250,6 +259,34 @@ def test_automorphism_group_structure():
     with pytest.raises(CapExceededError):
         automorphism_group(group_from_generators(
             [tuple(range(1, 65)) + (0,)]))
+
+
+def _brute_table(elements, op):
+    """The |G|^2 multiplication table of a closed element list. Oracle only."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(
+        tuple(index[op(a, b)] for b in elements) for a in elements
+    )
+
+
+def test_automorphism_group_table_against_brute_force():
+    cat = load_catalog()
+    for e in cat.entries:
+        if (e.order, e.index) == (16, 14):  # refused: 20160 automorphisms
+            continue
+        aut, auts = automorphism_group(cat.group(e.order, e.index))
+        assert aut.mul == _brute_table(
+            [f.image_of for f in auts], compose_perms), (e.order, e.index)
+
+
+def test_group_from_closure_table_against_brute_force():
+    for e in load_catalog().entries:
+        degree = max(len(g) for g in e.generators)
+        gens = [g + tuple(range(len(g), degree)) for g in e.generators]
+        G, elements = group_from_closure(
+            gens, compose_perms, tuple(range(degree)))
+        assert G.order == e.order
+        assert G.mul == _brute_table(elements, compose_perms), (e.order, e.index)
 
 
 def test_automorphism_group_shares_the_cached_list():

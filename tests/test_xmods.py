@@ -8,8 +8,10 @@ from xmodkit.groups import (
     GroupHom,
     Subgroup,
     center,
+    compose_perms,
     cyclic_group,
     derived_subgroup,
+    generating_sequence,
     group_from_generators,
     subgroup_generated,
     symmetric_group,
@@ -128,6 +130,49 @@ def test_axiom_witnesses_are_first_failures_in_scan_order():
     assert err.value.witness == next(
         (a, b) for a in s3.elements for b in s3.elements
         if b != s3.conj(a, b))
+
+    # the action laws are accepted on generators; a failure must still
+    # report the first failing pair of the full scan, here not a generator
+    # pair
+    c5 = cyclic_group(5)
+    assert generating_sequence(c4) == [1] and generating_sequence(c5) == [1]
+    times = [tuple((k * a) % 5 for a in range(5)) for k in (1, 2, 4, 1)]
+    with pytest.raises(XModAxiomError) as err:
+        module_xmod(c5, c4, times)
+    assert err.value.code == "action-not-homomorphic"
+    first = next(
+        (x, y) for x in range(4) for y in range(4)
+        if times[c4.mul[x][y]] != tuple(times[x][v] for v in times[y]))
+    assert first == (1, 2) and err.value.witness == first
+
+    row = (0, 1, 2, 4, 3)  # a bijection fixing 0, not additive
+    with pytest.raises(XModAxiomError) as err:
+        module_xmod(c5, cyclic_group(2), [tuple(range(5)), row])
+    assert err.value.code == "action-not-automorphic"
+    first = next(
+        (a, b) for a in range(5) for b in range(5)
+        if row[c5.mul[a][b]] != c5.mul[row[a]][row[b]])
+    assert first == (1, 2) and err.value.witness == (1, first)
+
+
+def test_xmod_automorphism_group_table_against_brute_force():
+    from xmodkit.census import all_xmods, reduce_by_isomorphism
+
+    orders = []
+    for n, m in ((4, 4), (8, 4)):
+        for X in reduce_by_isomorphism(all_xmods(n, m)).representatives:
+            aut, auts = xmod_automorphism_group(X)
+            pairs = [(f.alpha.image_of, f.beta.image_of) for f in auts]
+            index = {p: i for i, p in enumerate(pairs)}
+            assert aut.mul == tuple(
+                tuple(
+                    index[(compose_perms(fa, ga), compose_perms(fb, gb))]
+                    for ga, gb in pairs
+                )
+                for fa, fb in pairs
+            )
+            orders.append(aut.order)
+    assert max(orders) == 1008
 
 
 def test_action_shape_checked():
