@@ -2,7 +2,8 @@
 
 The catalog ships as a versioned plain-text file with one record per group:
 "order:index name perm;perm;...", generators written in cycle notation.
-Groups are rebuilt from their generators on first access and cached.
+A record's cycles are parsed, and its group rebuilt from the generators,
+on first access, and cached.
 External catalogs in the same format can be imported; the format
 round-trips byte-exactly through parse and render.
 """
@@ -10,6 +11,7 @@ round-trips byte-exactly through parse and render.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,10 +80,17 @@ def cycles_text(perm: Sequence[int]) -> str:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One record; its generators are parsed from cycles, the record's
+    "perm;perm;..." text, when first read."""
+
     order: int
     index: int
     name: str
-    generators: tuple[tuple[int, ...], ...]
+    cycles: str
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(parse_cycles(p) for p in self.cycles.split(";"))
 
 
 class GroupCatalog:
@@ -169,9 +178,8 @@ def parse_catalog(text: str) -> GroupCatalog:
             raise ValueError(f"bad catalog record: {ln!r}")
         ident, name, perm_text = parts
         order_text, _, index_text = ident.partition(":")
-        gens = tuple(parse_cycles(p) for p in perm_text.split(";"))
         entries.append(
-            CatalogEntry(int(order_text), int(index_text), name, gens)
+            CatalogEntry(int(order_text), int(index_text), name, perm_text)
         )
     return GroupCatalog(version, entries)
 
@@ -190,7 +198,11 @@ def load_catalog(path: Optional[str] = None) -> GroupCatalog:
 
 
 def import_catalog(path: str) -> GroupCatalog:
-    """Import an external catalog file, verifying the format round-trips."""
+    """Import an external catalog file, verifying the format round-trips.
+
+    Rendering parses every record's cycles, so a malformed cycle raises
+    ValueError here; a catalog from parse_catalog or load_catalog raises
+    it when that record's group is first built."""
     text = Path(path).read_text()
     catalog = parse_catalog(text)
     if catalog.render() != text:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import getitem
 
 from .groups import (
     CapExceededError,
@@ -21,6 +20,7 @@ from .groups import (
     Subgroup,
     _extensions,
     compose_perms,
+    generating_sequence,
 )
 from .xmods import (
     CrossedModule,
@@ -90,21 +90,40 @@ def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(X, img, check=False)
 
 
-def _semidirect_table(X: CrossedModule) -> FiniteGroup:
-    """g1 x| g0 with (a, x)(b, y) = (a * ^x b, xy); index a*|g0| + x."""
-    n0 = X.g0.order
-    mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
-    rows = [None] * (X.g1.order * n0)
-    for x in X.g0.elements:
-        mx = mul0[x]
-        # blocks[c] is the row segment (c, x*y) for every y, whole mul0 rows
-        blocks = [tuple(c * n0 + v for v in mx) for c in X.g1.elements]
-        rx = act[x]
-        for a in X.g1.elements:
-            rows[a * n0 + x] = tuple(chain.from_iterable(
-                blocks[c] for c in compose_perms(mul1[a], rx)
-            ))
-    return FiniteGroup(rows, check=False)
+class _SemidirectRows(dict):
+    """Rows of g1 x| g0, (a, x)(b, y) = (a * ^x b, xy) at index a*|g0| + x,
+    each built the first time it is read; the derivation search reads
+    only the rows of the images it has found."""
+
+    def __init__(self, X: CrossedModule):
+        super().__init__()
+        self.xmod = X
+        self.blocks: dict = {}
+
+    def __missing__(self, s: int) -> tuple[int, ...]:
+        X = self.xmod
+        n0 = X.g0.order
+        a, x = divmod(s, n0)
+        blocks = self.blocks.get(x)
+        if blocks is None:
+            # blocks[c] is the row segment (c, x*y) for every y
+            mx = X.g0.mul[x]
+            blocks = self.blocks[x] = [
+                tuple(c * n0 + v for v in mx) for c in X.g1.elements
+            ]
+        row = self[s] = tuple(chain.from_iterable(
+            blocks[c] for c in compose_perms(X.g1.mul[a], X.action[x])
+        ))
+        return row
+
+
+class _Semidirect:
+    """g1 x| g0 as the search target of _extensions: identity and mul only,
+    so no FiniteGroup of order |g1||g0| is built or validated."""
+
+    def __init__(self, X: CrossedModule):
+        self.identity = X.g1.identity * X.g0.order + X.g0.identity
+        self.mul = _SemidirectRows(X)
 
 
 @dataclass(eq=False)
@@ -142,11 +161,16 @@ class DerivationMonoid:
 
 
 def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
-    """Every derivation, as a DerivationMonoid.
+    """Every derivation, as a DerivationMonoid; element 0 is the zero
+    derivation and the rest follow in ascending table order.
 
     A table is a derivation exactly when x -> (table[x], x) is a
-    homomorphic section into the semidirect product, so candidates are
-    enumerated per generator of g0 and extended by product closure.
+    homomorphic section into the semidirect product g1 x| g0, so the
+    generator-image search closes in its rows, built as it reads them.
+    A candidate (b, g) for a generator g of order k must have order k,
+    that is b * ^g b * ... * ^(g^(k-1)) b = 1.  A derivation is fixed by
+    its values on the generators of g0, and so is the circle-product
+    table: column d2 is read off those values of d1 o d2 for every d1.
     """
     if "dermonoid" in X._cache:
         return X._cache["dermonoid"]
@@ -155,34 +179,40 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
             f"derivation search capped at order {cap}, got "
             f"{list(X.order())}"
         )
-    semi = _semidirect_table(X)
     g0 = X.g0
     n0 = g0.order
-    eo0, eos = g0.elem_order, semi.elem_order
+    mul0, mul1, act, bnd = g0.mul, X.g1.mul, X.action, X.boundary.image_of
+    e1 = X.g1.identity
 
     def candidates(g: int) -> list[int]:
-        return [s for s in range(g, semi.order, n0) if eos[s] == eo0[g]]
+        # the twisted power (b, g)^k = (b * ^g b * ... , g^k), k = |g|
+        norms = [e1] * X.g1.order
+        x = g0.identity
+        for _ in range(g0.elem_order[g]):
+            norms = [mul1[v][w] for v, w in zip(norms, act[x])]
+            x = mul0[x][g]
+        return [b * n0 + g for b, v in enumerate(norms) if v == e1]
 
     tables = []
-    for found in _extensions(g0, semi, candidates):
+    for found in _extensions(g0, _Semidirect(X), candidates):
         assert all(s % n0 == x for x, s in enumerate(found))
         tables.append(tuple(s // n0 for s in found))
-    zero = (X.g1.identity,) * n0
+    zero = (e1,) * n0
     tables.sort(key=lambda t: (t != zero, t))
     elements = tuple(Derivation(X, t, check=False) for t in tables)
-    index = {d.image_of: i for i, d in enumerate(elements)}
-    mul0, mul1, bnd = X.g0.mul, X.g1.mul, X.boundary.image_of
-    # column j is d1 o d2 for d2 = elements[j] and every d1, as in
-    # circle_product: (d1 o d2)(x) = d1(u(x)) * d2(x), u(x) = bnd(d2(x)) x
+    gens = generating_sequence(g0)
+    index = {tuple(t[s] for s in gens): i for i, t in enumerate(tables)}
+    by_point = tuple(zip(*tables))  # by_point[x][i] = tables[i][x]
+    cols1 = tuple(zip(*mul1))  # cols1[c][v] = v * c
+    # column j holds d1 o d2 for d2 = elements[j] and every d1, as in
+    # circle_product: (d1 o d2)(s) = d1(bnd(d2(s)) s) * d2(s)
     columns = []
-    for d2 in elements:
-        i2 = d2.image_of
-        u = tuple(mul0[bnd[v]][x] for x, v in enumerate(i2))
-        column = [
-            index.get(tuple(map(
-                getitem, compose_perms(mul1, compose_perms(i1, u)), i2)))
-            for i1 in tables
+    for t2 in tables:
+        values = [
+            compose_perms(cols1[t2[s]], by_point[mul0[bnd[t2[s]]][s]])
+            for s in gens
         ]
+        column = list(map(index.get, zip(*values))) if gens else [0]
         if None in column:
             raise RuntimeError("circle product left the derivation set")
         columns.append(column)

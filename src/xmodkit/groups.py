@@ -71,9 +71,10 @@ class FiniteGroup:
         )
         if identity is None:
             raise ValueError("no two-sided identity")
-        # associativity is exhaustively checkable only at small orders;
-        # larger tables come from closures, which are associative by build
-        if check and n <= 64:
+        # associativity is checked only at small orders; larger tables
+        # come from closures, which are associative by build.  When Light's
+        # test fails, the full scan names the first failing triple
+        if check and n <= 64 and not _light_associative(table, identity):
             for a in range(n):
                 ra = table[a]
                 for b in range(n):
@@ -144,6 +145,32 @@ class FiniteGroup:
     def __repr__(self) -> str:
         tag = f", catalog_id={self.catalog_id}" if self.catalog_id else ""
         return f"FiniteGroup(order={self.order}{tag})"
+
+
+def _light_associative(table: tuple[tuple[int, ...], ...], identity: int) -> bool:
+    """Light's associativity test on a Latin square with an identity.
+
+    The elements s with (x s) y = x (s y) for all x, y are closed under
+    the product: x (s t) = (x s) t, so (x (s t)) y = (x s)(t y) =
+    x (s (t y)) = x ((s t) y).  So the test needs only a set S whose
+    right-multiplication closure from the identity covers the table,
+    picked greedily in index order.  Each s costs n compositions of
+    rows: row x s against row x composed with row s.
+    """
+    n = len(table)
+    gens: list[int] = []
+    reached: dict = {identity: 0}
+    for s in range(n):
+        if s in reached:
+            continue
+        row_s = table[s]
+        if any(table[rx[s]] != compose_perms(rx, row_s) for rx in table):
+            return False
+        gens.append(s)
+        _, reached = _closure_elements(
+            gens, lambda a, g: table[a][g], identity, n
+        )
+    return True
 
 
 class Subgroup:
@@ -603,6 +630,7 @@ def _closure_map(
 
     Checks every product (known element) * (generator), which is enough to
     certify the extension is a homomorphism on the generated subgroup.
+    H is read only through H.identity and H.mul[a][b], as in _extensions.
     """
     image = {G.identity: H.identity}
     order_list = [G.identity]
@@ -641,6 +669,12 @@ def _extensions(
     and pruning each partial assignment whose closure is inconsistent.
     The generators generate G, so the closure of a full assignment is the
     whole map and is yielded without closing it again.
+
+    H need not be a FiniteGroup: the search reads only H.identity and
+    H.mul[a][b] for a an image already found and b a candidate, so H.mul
+    may be a mapping that builds each row the first time it is read, for
+    a target far larger than the images the search visits (derivations
+    search G1 x| G0 this way).
     """
     gens = generating_sequence(G)
     if not gens:
@@ -735,19 +769,17 @@ def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
     return G._cache["autgens"]
 
 
-def automorphism_group(
-    G: FiniteGroup, *, cap: Optional[int] = None
-) -> tuple[FiniteGroup, list[GroupHom]]:
+def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
     """Aut(G) as a FiniteGroup whose element i is the returned list's i-th
     automorphism; the product is composition, (f*g)(x) = f(g(x)).
 
-    cap bounds |G|; AUT_TABLE_CAP bounds |Aut G|, checked before the
-    |Aut G|^2 table is built."""
-    if cap is None:
-        cap = DEFAULT_AUT_CAP
-    if G.order > cap:
+    DEFAULT_AUT_CAP bounds |G| for callers of the query API, which may
+    pass any group (the bundled catalog ends at order 24); AUT_TABLE_CAP
+    bounds |Aut G|, checked before the |Aut G|^2 table is built."""
+    if G.order > DEFAULT_AUT_CAP:
         raise CapExceededError(
-            f"automorphism search capped at order {cap}, got {G.order}"
+            f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
+            f"got {G.order}"
         )
     if "aut" in G._cache:
         return G._cache["aut"]

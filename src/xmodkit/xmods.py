@@ -554,7 +554,12 @@ def xmod_fingerprint(X: CrossedModule) -> tuple:
 
 def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     """Every isomorphism X -> Y, searching beta first; on X against itself
-    the identity comes first."""
+    the identity comes first.
+
+    Equivariance, alpha o act_X(x) = act_Y(beta x) o alpha, is checked
+    for x in generating_sequence(g0) only: both actions are homomorphisms
+    into the automorphisms (CrossedModule validates them unless built
+    with check_action=False), so it then holds on every product."""
     if X.order() != Y.order():
         return
     same = X == Y
@@ -564,6 +569,7 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     g1x, g1y = X.g1, Y.g1
     eo_x, eo_y = g1x.elem_order, g1y.elem_order
     id_pair = (tuple(g1x.elements), tuple(X.g0.elements))
+    gens0 = generating_sequence(X.g0)
     if X.g0 is Y.g0:
         betas = automorphisms(X.g0)
     else:
@@ -571,21 +577,20 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
 
     for beta in betas:
         bt = beta.image_of
+        bd = compose_perms(bt, dX)
+        rows = [(X.action[x], Y.action[bt[x]]) for x in gens0]
 
         def candidates(g: int) -> list[int]:
-            want = bt[dX[g]]
+            want = bd[g]
             return [h for h in g1y.elements if eo_y[h] == eo_x[g] and dY[h] == want]
 
         for img in _extensions(g1x, g1y, candidates):
             if len(set(img)) != g1x.order:
                 continue
-            ok = all(dY[img[a]] == bt[dX[a]] for a in g1x.elements)
-            if ok:
-                for x in X.g0.elements:
-                    row_s, row_t = X.action[x], Y.action[bt[x]]
-                    if any(img[row_s[a]] != row_t[img[a]] for a in g1x.elements):
-                        ok = False
-                        break
+            ok = compose_perms(dY, img) == bd and all(
+                compose_perms(img, row_s) == compose_perms(row_t, img)
+                for row_s, row_t in rows
+            )
             if ok:
                 if same and (img, bt) == id_pair:
                     continue

@@ -126,3 +126,17 @@ def test_bad_records_rejected():
     with pytest.raises(ValueError):
         # declared order does not match the generated group
         parse_catalog("smallgroups v1\n5:1 C4 (0 1 2 3)\n").group(5, 1)
+
+
+@pytest.mark.parametrize("cycles", ["(0 1 2 3", "(0 1)(1 2)", "(0 x)"])
+def test_malformed_cycles_rejected(tmp_path, cycles):
+    text = f"smallgroups v1\n2:1 C2 (0 1)\n4:1 C4 {cycles}\n"
+    # parsing defers a record's cycles until its group is first built
+    catalog = parse_catalog(text)
+    assert catalog.group(2, 1).order == 2
+    with pytest.raises(ValueError):
+        catalog.group(4, 1)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        import_catalog(str(path))

@@ -32,6 +32,7 @@ from xmodkit.derivations import (
     whitehead_group,
     zero_derivation,
 )
+from xmodkit.census import all_xmods, reduce_by_isomorphism
 from xmodkit.groups import (
     CapExceededError,
     abelian_group,
@@ -39,6 +40,7 @@ from xmodkit.groups import (
     cyclic_group,
     dihedral_group,
     first_iso,
+    generating_sequence,
     symmetric_group,
 )
 from xmodkit.xmods import (
@@ -129,16 +131,55 @@ def test_monoid_is_associative_with_zero_unit():
         )
 
 
+def _representatives(n, m):
+    return reduce_by_isomorphism(all_xmods(n, m)).representatives
+
+
+def brute_generator_derivations(X):
+    """Every assignment of g1 elements to the generators of g0, extended
+    by d(x s) = d(x) * ^x d(s) and kept when Derivation's full check of
+    the law passes."""
+    mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
+    gens = generating_sequence(X.g0)
+    found = []
+    for values in itertools.product(X.g1.elements, repeat=len(gens)):
+        table = {X.g0.identity: X.g1.identity}
+        queue = [X.g0.identity]
+        for x in queue:
+            for s, v in zip(gens, values):
+                xs = mul0[x][s]
+                if xs not in table:
+                    table[xs] = mul1[table[x]][act[x][v]]
+                    queue.append(xs)
+        image_of = tuple(table[x] for x in X.g0.elements)
+        try:
+            Derivation(X, image_of, check=True)
+        except ValueError:
+            continue
+        found.append(image_of)
+    return found
+
+
+def test_derivations_of_census_representatives_match_brute_force():
+    for n, m in ((4, 4), (8, 4), (6, 6)):
+        for X in _representatives(n, m):
+            tables = [d.image_of for d in all_derivations(X).elements]
+            assert tables[0] == (X.g1.identity,) * X.g0.order
+            assert sorted(tables) == sorted(brute_generator_derivations(X))
+
+
 def test_circle_product_agrees_with_table():
-    x = inversion_module_c8()
-    monoid = all_derivations(x)
-    assert zero_derivation(x) == monoid.unit
-    for i, d1 in enumerate(monoid.elements):
-        for j, d2 in enumerate(monoid.elements):
-            assert (
-                circle_product(d1, d2).image_of
-                == monoid.elements[monoid.op[i][j]].image_of
-            )
+    modules = [inversion_module_c8()]
+    modules += _representatives(4, 4) + _representatives(8, 4)
+    for x in modules:
+        monoid = all_derivations(x)
+        assert zero_derivation(x) == monoid.unit
+        for i, d1 in enumerate(monoid.elements):
+            for j, d2 in enumerate(monoid.elements):
+                assert (
+                    circle_product(d1, d2).image_of
+                    == monoid.elements[monoid.op[i][j]].image_of
+                )
 
 
 def test_inversion_module_whitehead_and_actor():

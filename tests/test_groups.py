@@ -117,10 +117,31 @@ def test_table_validation():
 
 
 def test_not_associative_rejected():
-    # subtraction mod 3 has identity-like behavior only on one side
+    # subtraction mod 3: 0 is an identity on the right only, so the
+    # constructor stops before the associativity check
     table = [[(i - j) % 3 for j in range(3)] for i in range(3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         FiniteGroup(table)
+    assert str(err.value) == "no two-sided identity"
+    # loops (Latin squares with identity 0) that are not associative; the
+    # message names the first failing triple in (a, b, c) scan order
+    for table, message in [
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+         "associativity fails at (1,1,2)"),
+        # Light's test checks only the middle elements {1, 4}, whose
+        # right-multiplication closure covers the table; the first
+        # failing triple has middle element 2, so only the full scan
+        # that follows a failed test can name it
+        ([[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1],
+          [3, 0, 5, 1, 2, 4], [4, 5, 0, 2, 1, 3], [5, 4, 1, 0, 3, 2]],
+         "associativity fails at (1,2,1)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(table)
+        assert str(err.value) == message
+    # the same loop passes with check=False
+    assert FiniteGroup(table, check=False).order == 6
 
 
 def test_named_constructors():

@@ -175,6 +175,35 @@ def test_xmod_automorphism_group_table_against_brute_force():
     assert max(orders) == 1008
 
 
+def test_self_isomorphisms_match_full_table_filter():
+    """all_xmod_isos(X, X) checks equivariance on generators of g0 only;
+    as a set it equals every pair in Aut(G1) x Aut(G0) that passes the
+    boundary square and equivariance at every element."""
+    from xmodkit.census import all_xmods, reduce_by_isomorphism
+    from xmodkit.groups import automorphisms
+
+    for n, m in ((4, 4), (8, 4)):
+        for X in reduce_by_isomorphism(all_xmods(n, m)).representatives:
+            d, act = X.boundary.image_of, X.action
+            expected = set()
+            for alpha in automorphisms(X.g1):
+                a = alpha.image_of
+                for beta in automorphisms(X.g0):
+                    b = beta.image_of
+                    if all(d[a[y]] == b[d[y]] for y in X.g1.elements) and all(
+                        a[act[x][y]] == act[b[x]][a[y]]
+                        for x in X.g0.elements
+                        for y in X.g1.elements
+                    ):
+                        expected.add((a, b))
+            found = [
+                (f.alpha.image_of, f.beta.image_of)
+                for f in all_xmod_isos(X, X)
+            ]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+
+
 def test_action_shape_checked():
     c2 = cyclic_group(2)
     with pytest.raises(ValueError):
