@@ -41,7 +41,6 @@ from .groups import (
     direct_product,
     first_iso,
     group_from_generators,
-    is_isoclinic_group,
     symmetric_group,
 )
 from .invariants import (
@@ -64,6 +63,7 @@ from .isoclinism import (
     IsoclinismWitness,
     commutator_pairing,
     hz_subxmod_isoclinism,
+    is_isoclinic_group,
     is_isoclinic_xmod,
     validate_witness,
     xmod_family_partition,

@@ -15,6 +15,7 @@ import itertools
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from xmodkit import __version__ as ENGINE_VERSION
@@ -22,14 +23,15 @@ from xmodkit import __version__ as ENGINE_VERSION
 from .catalog import GroupCatalog, load_catalog
 from .groups import (
     FiniteGroup,
+    _extensions,
+    _OnDemandTable,
     all_homs,
     automorphism_generators,
-    automorphism_group,
+    automorphisms,
     center,
     compose_perms,
     first_iso,
     generating_sequence,
-    group_family_partition,
     group_fingerprint,
     group_lower_central_series,
     group_middle_length,
@@ -45,7 +47,7 @@ from .invariants import (
     nilpotency_class,
     rank_of_xmod,
 )
-from .isoclinism import xmod_family_partition
+from .isoclinism import group_family_partition, xmod_family_partition
 from .values import NOT_NILPOTENT, LogValue, PairValue
 from .xmods import (
     CrossedModule,
@@ -147,9 +149,40 @@ class CensusResult:
 
 def _aut_tables(G: FiniteGroup) -> tuple:
     if "auttables" not in G._cache:
-        _, morphisms = automorphism_group(G)
-        G._cache["auttables"] = tuple(f.image_of for f in morphisms)
+        G._cache["auttables"] = tuple(f.image_of for f in automorphisms(G))
     return G._cache["auttables"]
+
+
+def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
+    """Action homomorphisms G0 -> Aut(G1) as tables of indices into
+    automorphisms(G1), in the order all_homs finds them in
+    automorphism_group(G1).
+
+    The search target's entry [a][b] is the index of auts[a] o auts[b],
+    computed the first time the search reads it, so no Cayley table of
+    Aut(G1) is built (|Aut C2^4| = 20160).  As in all_homs, the candidates
+    for a generator g are the automorphisms, in list order, whose order
+    divides |g|.
+    """
+    tables = _aut_tables(G1)
+    index = {t: i for i, t in enumerate(tables)}
+    orders = []
+    for t in tables:
+        k, power = 1, t
+        while power != tables[0]:
+            power = compose_perms(t, power)
+            k += 1
+        orders.append(k)
+    fits = {
+        d: [j for j, k in enumerate(orders) if d % k == 0]
+        for d in set(G0.elem_order)
+    }
+    target = SimpleNamespace(identity=0, mul=_OnDemandTable(
+        lambda a: _OnDemandTable(
+            lambda b: index[compose_perms(tables[a], tables[b])]
+        )
+    ))
+    return list(_extensions(G0, target, lambda g: fits[G0.elem_order[g]]))
 
 
 def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
@@ -218,12 +251,10 @@ def all_xmods(
     raw = []
     for e1 in ents1:
         G1 = cat.group(e1.order, e1.index)
-        aut_carrier, _ = automorphism_group(G1)
         tables = _aut_tables(G1)
         for e0 in ents0:
             G0 = cat.group(e0.order, e0.index)
-            actions = [h.image_of for h in all_homs(G0, aut_carrier)]
-            for phi, img in _stage1_scan(G1, G0, actions):
+            for phi, img in _stage1_scan(G1, G0, _action_tables(G0, G1)):
                 rows = tuple(tables[j] for j in phi)
                 raw.append(make_xmod(G1, G0, img, rows))
     return CensusResult(
@@ -347,15 +378,12 @@ def _member_row(X: CrossedModule) -> tuple:
     z = center_xmod(X)
     n1, n0 = X.order()
     z1, z0 = z.order
-    sizes = lower_central_series(X).sizes()[1:]
-    if sizes and sizes[-1] == (1, 1):
-        sizes = sizes[:-1]
     return (
         rank_of_xmod(X),
         middle_length_of_xmod(X),
         nilpotency_class(X),
         (n1 // z1, n0 // z0),
-        tuple(sizes),
+        lower_central_series(X).tail_sizes(),
     )
 
 

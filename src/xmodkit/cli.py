@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .catalog import GroupCatalog, import_catalog, load_catalog
 from .census import CensusResult, GroupFamilyReport, census, group_census
-from .groups import CapExceededError, is_isoclinic_group
 from .invariants import (
     center_xmod,
     derived_subxmod,
@@ -32,7 +31,7 @@ from .invariants import (
     nilpotency_class,
     rank_of_xmod,
 )
-from .isoclinism import is_isoclinic_xmod
+from .isoclinism import is_isoclinic_group, is_isoclinic_xmod
 from .values import class_text, subscript
 from .xmods import parse_xmod
 
@@ -311,10 +310,9 @@ def _xmod_invariants_table(X, format: str) -> ReportTable:
     d = derived_subxmod(X)
     n1, n0 = X.order()
     z1, z0 = z.order
-    sizes = lower_central_series(X).sizes()[1:]
-    if sizes and sizes[-1] == (1, 1):
-        sizes = sizes[:-1]
-    gammas = " ".join(_pair_cell(s) for s in sizes) or "-"
+    gammas = " ".join(
+        _pair_cell(s) for s in lower_central_series(X).tail_sizes()
+    ) or "-"
     rows = (
         ("order", _pair_cell((n1, n0))),
         ("rank", rank.render()),
@@ -444,7 +442,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args, sys.stdout)
-    except (OSError, ValueError, KeyError, CapExceededError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

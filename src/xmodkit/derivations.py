@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from types import SimpleNamespace
 
 from .groups import (
     CapExceededError,
@@ -19,6 +20,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _extensions,
+    _OnDemandTable,
     compose_perms,
     generating_sequence,
 )
@@ -90,40 +92,26 @@ def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(X, img, check=False)
 
 
-class _SemidirectRows(dict):
-    """Rows of g1 x| g0, (a, x)(b, y) = (a * ^x b, xy) at index a*|g0| + x,
-    each built the first time it is read; the derivation search reads
-    only the rows of the images it has found."""
+def _semidirect(X: CrossedModule) -> SimpleNamespace:
+    """g1 x| g0, (a, x)(b, y) = (a * ^x b, xy) at index a*|g0| + x, as a
+    search target of _extensions: identity and mul only, each row built
+    the first time it is read, so no FiniteGroup of order |g1||g0| is built
+    or validated and only the rows of the images found are formed."""
+    n0 = X.g0.order
+    # blocks[x][c] is the row segment (c, x*y) for every y
+    blocks = _OnDemandTable(
+        lambda x: [tuple(c * n0 + v for v in X.g0.mul[x]) for c in X.g1.elements]
+    )
 
-    def __init__(self, X: CrossedModule):
-        super().__init__()
-        self.xmod = X
-        self.blocks: dict = {}
-
-    def __missing__(self, s: int) -> tuple[int, ...]:
-        X = self.xmod
-        n0 = X.g0.order
+    def row(s: int) -> tuple[int, ...]:
         a, x = divmod(s, n0)
-        blocks = self.blocks.get(x)
-        if blocks is None:
-            # blocks[c] is the row segment (c, x*y) for every y
-            mx = X.g0.mul[x]
-            blocks = self.blocks[x] = [
-                tuple(c * n0 + v for v in mx) for c in X.g1.elements
-            ]
-        row = self[s] = tuple(chain.from_iterable(
-            blocks[c] for c in compose_perms(X.g1.mul[a], X.action[x])
+        return tuple(chain.from_iterable(
+            blocks[x][c] for c in compose_perms(X.g1.mul[a], X.action[x])
         ))
-        return row
 
-
-class _Semidirect:
-    """g1 x| g0 as the search target of _extensions: identity and mul only,
-    so no FiniteGroup of order |g1||g0| is built or validated."""
-
-    def __init__(self, X: CrossedModule):
-        self.identity = X.g1.identity * X.g0.order + X.g0.identity
-        self.mul = _SemidirectRows(X)
+    return SimpleNamespace(
+        identity=X.g1.identity * n0 + X.g0.identity, mul=_OnDemandTable(row)
+    )
 
 
 @dataclass(eq=False)
@@ -194,7 +182,7 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
         return [b * n0 + g for b, v in enumerate(norms) if v == e1]
 
     tables = []
-    for found in _extensions(g0, _Semidirect(X), candidates):
+    for found in _extensions(g0, _semidirect(X), candidates):
         assert all(s % n0 == x for x, s in enumerate(found))
         tables.append(tuple(s // n0 for s in found))
     zero = (e1,) * n0

@@ -7,7 +7,6 @@ image tables, enumerated deterministically by generator-image backtracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -623,6 +622,24 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
+class _OnDemandTable(dict):
+    """A table whose entry k is entry(k), computed the first time it is read.
+
+    As the mul of a search target of _extensions, it spares building a
+    Cayley table whose entries the search mostly never reads.
+    """
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Callable[[int], object]):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, k: int):
+        value = self[k] = self.entry(k)
+        return value
+
+
 def _closure_map(
     G: FiniteGroup, H: FiniteGroup, pairs: Sequence[tuple[int, int]]
 ) -> Optional[dict]:
@@ -811,109 +828,6 @@ def group_fingerprint(G: FiniteGroup) -> tuple:
     )
     G._cache["fp"] = fp
     return fp
-
-
-@dataclass(frozen=True)
-class GroupIsoclinism:
-    """Witness that two groups are isoclinic.
-
-    quotient_iso maps M/Z(M) to N/Z(N); derived_iso maps [M,M] to [N,N]
-    (each derived subgroup repackaged as its own FiniteGroup, index i being
-    derived_members[i] in the parent). The commutator square is checked
-    over every pair of central cosets before a witness is returned.
-    """
-
-    quotient_iso: GroupHom
-    derived_iso: GroupHom
-    source_projection: GroupHom
-    target_projection: GroupHom
-    source_derived_members: tuple[int, ...]
-    target_derived_members: tuple[int, ...]
-
-
-def _commutator_on_quotient(
-    G: FiniteGroup, Q: FiniteGroup, proj: GroupHom, dsub: Subgroup
-) -> list[list[int]]:
-    """c(aZ, bZ) = [a, b] as an index into dsub's own group."""
-    reps = [0] * Q.order
-    seen = [False] * Q.order
-    for x in G.elements:
-        c = proj(x)
-        if not seen[c]:
-            seen[c] = True
-            reps[c] = x
-    didx = {m: i for i, m in enumerate(dsub.members)}
-    return [
-        [didx[G.commutator(reps[a], reps[b])] for b in Q.elements]
-        for a in Q.elements
-    ]
-
-
-def is_isoclinic_group(M: FiniteGroup, N: FiniteGroup) -> Optional[GroupIsoclinism]:
-    """Search for an isoclinism witness; None when the groups are not
-    isoclinic. Deterministic: first witness in backtracking order."""
-    zm, zn = center(M), center(N)
-    qm, pm = quotient_group(M, zm)
-    qn, pn = quotient_group(N, zn)
-    dm, dn = derived_subgroup(M), derived_subgroup(N)
-    if qm.order != qn.order or dm.order != dn.order:
-        return None
-    dmg, dng = dm.as_group(), dn.as_group()
-    cm = _commutator_on_quotient(M, qm, pm, dm)
-    cn = _commutator_on_quotient(N, qn, pn, dn)
-    xis = all_isos(dmg, dng)
-    if not xis:
-        return None
-    for eta in all_isos(qm, qn):
-        em = eta.image_of
-        for xi in xis:
-            xm = xi.image_of
-            if all(
-                xm[cm[a][b]] == cn[em[a]][em[b]]
-                for a in qm.elements
-                for b in qm.elements
-            ):
-                return GroupIsoclinism(
-                    quotient_iso=eta,
-                    derived_iso=xi,
-                    source_projection=pm,
-                    target_projection=pn,
-                    source_derived_members=dm.members,
-                    target_derived_members=dn.members,
-                )
-    return None
-
-
-def _isoclinism_fingerprint(G: FiniteGroup) -> tuple:
-    zg = center(G)
-    q, _ = quotient_group(G, zg)
-    d = derived_subgroup(G)
-    return (
-        q.order,
-        tuple(sorted(q.elem_order)),
-        d.order,
-        tuple(sorted(G.elem_order[x] for x in d.members)),
-    )
-
-
-def group_family_partition(groups: Sequence[FiniteGroup]) -> list[list[int]]:
-    """Partition indices into isoclinism families, ordered by first member."""
-    families: list[list[int]] = []
-    fingerprints = [_isoclinism_fingerprint(G) for G in groups]
-    assigned = [False] * len(groups)
-    for i in range(len(groups)):
-        if assigned[i]:
-            continue
-        family = [i]
-        assigned[i] = True
-        for j in range(i + 1, len(groups)):
-            if assigned[j] or fingerprints[i] != fingerprints[j]:
-                continue
-            if is_isoclinic_group(groups[i], groups[j]) is not None:
-                family.append(j)
-                assigned[j] = True
-        families.append(family)
-    return families
 
 
 def group_rank(G: FiniteGroup) -> LogValue:

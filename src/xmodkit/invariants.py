@@ -103,6 +103,15 @@ class SeriesRecord:
     def sizes(self) -> list[tuple[int, int]]:
         return [t.order for t in self.terms]
 
+    def tail_sizes(self) -> tuple[tuple[int, int], ...]:
+        """Sizes of the terms after the first, without the trailing trivial
+        term of a series that reaches it: the gamma sizes a census family
+        report and the CLI invariants table show."""
+        sizes = self.sizes()[1:]
+        if sizes and sizes[-1] == (1, 1):
+            sizes = sizes[:-1]
+        return tuple(sizes)
+
 
 def lower_central_series(X: CrossedModule) -> SeriesRecord:
     """gamma_1 = X, gamma_{i+1} = [gamma_i, X]; computed once per module."""

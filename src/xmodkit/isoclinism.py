@@ -6,14 +6,16 @@ the commutator pairings c1 (central cosets into the displacement
 subgroup) and c0 (base cosets into the base derived subgroup). This
 module builds those pairings with exhaustive well-definedness checks,
 decides isoclinism with an explicit reusable witness, and partitions
-representative lists into isoclinism families.
+representative lists into isoclinism families.  Isoclinism of groups is
+the case of the identity crossed modules (G -> G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .groups import GroupHom, _closure_map, is_isoclinic_group
+from .groups import FiniteGroup, GroupHom, _closure_map
 from .invariants import (
     center_xmod,
     derived_subxmod,
@@ -26,6 +28,7 @@ from .xmods import (
     WellDefinednessError,
     XModMorphism,
     all_xmod_isos,
+    identity_xmod,
     product,
     quotient_xmod,
     xmod_fingerprint,
@@ -328,6 +331,56 @@ def xmod_family_partition(reps, *, slow=False) -> list[list[int]]:
             families.append([i])
             keys.append(key)
     return families
+
+
+@dataclass(frozen=True)
+class GroupIsoclinism:
+    """Witness that two groups are isoclinic.
+
+    quotient_iso maps M/Z(M) to N/Z(N), cosets indexed as quotient_group
+    indexes them; derived_iso maps [M,M] to [N,N] (each derived subgroup
+    repackaged as its own FiniteGroup, index i being derived_members[i] in
+    the parent). The commutator square is checked over every pair of
+    central cosets before a witness is returned.
+    """
+
+    quotient_iso: GroupHom
+    derived_iso: GroupHom
+    source_projection: GroupHom
+    target_projection: GroupHom
+    source_derived_members: tuple[int, ...]
+    target_derived_members: tuple[int, ...]
+
+
+def is_isoclinic_group(M: FiniteGroup, N: FiniteGroup) -> Optional[GroupIsoclinism]:
+    """Search for an isoclinism witness; None when the groups are not
+    isoclinic. Deterministic: first witness in backtracking order.
+
+    For X = (M -> M) with the identity boundary and conjugation action,
+    Z(X) = (Z(M) -> Z(M)) and D(X) = ([M,M] -> [M,M]), an isomorphism of
+    identity modules is a pair (f, f), and both pairings are the
+    commutator map.  So M and N are isoclinic exactly when their identity
+    modules are, and level 1 of that witness is the group witness.
+    """
+    X, Y = identity_xmod(M), identity_xmod(N)
+    witness = is_isoclinic_xmod(X, Y)
+    if witness is None:
+        return None
+    px, py = commutator_pairing(X), commutator_pairing(Y)
+    return GroupIsoclinism(
+        quotient_iso=witness.quotient_iso.alpha,
+        derived_iso=witness.derived_iso.alpha,
+        source_projection=px.projection.alpha,
+        target_projection=py.projection.alpha,
+        source_derived_members=px.derived.s1.members,
+        target_derived_members=py.derived.s1.members,
+    )
+
+
+def group_family_partition(groups: Sequence[FiniteGroup]) -> list[list[int]]:
+    """Partition indices into isoclinism families, ordered by first member:
+    the families of the identity crossed modules."""
+    return xmod_family_partition([identity_xmod(G) for G in groups])
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from xmodkit.groups import (
     automorphism_group,
     cyclic_group,
     first_iso,
-    is_isoclinic_group,
     subgroup_generated,
 )
 from xmodkit.invariants import (
@@ -56,6 +55,7 @@ from xmodkit.invariants import (
 from xmodkit.isoclinism import (
     commutator_pairing,
     hz_subxmod_isoclinism,
+    is_isoclinic_group,
     is_isoclinic_xmod,
     validate_witness,
     xmod_family_partition,

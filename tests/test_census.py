@@ -21,6 +21,7 @@ from xmodkit.catalog import GroupCatalog, load_catalog
 from xmodkit.census import (
     CensusError,
     CensusResult,
+    _action_tables,
     all_xmods,
     census,
     classify_families,
@@ -29,7 +30,7 @@ from xmodkit.census import (
     reduce_by_isomorphism,
     save_census,
 )
-from xmodkit.groups import all_isos, symmetric_group
+from xmodkit.groups import all_homs, all_isos, automorphism_group, symmetric_group
 from xmodkit.values import PairValue
 from xmodkit.xmods import (
     all_xmod_isos,
@@ -46,6 +47,26 @@ def finished44():
 
 def test_trivial_order_pair():
     assert census(1, 1).counts() == (1, 1, 1)
+
+
+def test_census_16_1_counts_the_abelian_groups():
+    # [m,1]: one module per group of order m, abelian exactly when G1 is
+    # (CM2 makes conjugation trivial); five abelian groups of order 16,
+    # among them C2^4 with |Aut| = 20160
+    assert census(16, 1).counts() == (5, 5, 1)
+
+
+def test_action_search_matches_all_homs_into_the_aut_table():
+    # the census's on-demand action search yields exactly all_homs into
+    # the Cayley table of Aut(G1), in order; order 18 reaches |Aut| = 432
+    cat = load_catalog()
+    levels1 = [G for n in range(1, 13) for G in cat.groups_of_order(n)]
+    levels0 = [G for n in range(1, 9) for G in cat.groups_of_order(n)]
+    pairs = [(G1, G0) for G1 in levels1 for G0 in levels0]
+    pairs += [(G1, cat.group(2, 1)) for G1 in cat.groups_of_order(18)]
+    for G1, G0 in pairs:
+        expected = [h.image_of for h in all_homs(G0, automorphism_group(G1)[0])]
+        assert _action_tables(G0, G1) == expected
 
 
 def test_stage_progression_and_counts_guard():
@@ -124,7 +145,7 @@ def assert_orbit_stabilizer(result):
         assert multiplicity[r] * stabilizer == aut_order[X.g1] * aut_order[X.g0]
 
 
-@pytest.mark.parametrize("pair", [(8, 4), (9, 9), (12, 12)])
+@pytest.mark.parametrize("pair", [(8, 4), (9, 9), (12, 12), (16, 2)])
 def test_orbit_stabilizer_certificate(pair):
     assert_orbit_stabilizer(census(*pair))
 

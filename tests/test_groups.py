@@ -34,7 +34,6 @@ from xmodkit.groups import (
     direct_product,
     first_iso,
     generating_sequence,
-    group_family_partition,
     group_fingerprint,
     group_from_closure,
     group_from_generators,
@@ -43,11 +42,11 @@ from xmodkit.groups import (
     group_nilpotency_class,
     group_rank,
     identity_hom,
-    is_isoclinic_group,
     quotient_group,
     subgroup_generated,
     symmetric_group,
 )
+from xmodkit.isoclinism import group_family_partition, is_isoclinic_group
 from xmodkit.values import NOT_NILPOTENT, class_text, log2_text
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import inversion_module_c8, xm_16_2_inversion, xm_16_2_swap
 
+from xmodkit.catalog import load_catalog
 from xmodkit.groups import (
     abelian_group,
     center,
@@ -34,6 +35,7 @@ from xmodkit.isoclinism import (
     ComponentChecks,
     commutator_pairing,
     component_isoclinism_checks,
+    group_family_partition,
     hz_subxmod_isoclinism,
     is_isoclinic_xmod,
     validate_witness,
@@ -203,3 +205,25 @@ def test_transitivity_inside_a_family():
     for a in fam:
         for b in fam:
             assert is_isoclinic_xmod(a, b) is not None
+
+
+# group isoclinism families of the catalog, recorded from the group-only
+# search that the identity-module path replaced
+GROUP_FAMILIES = {
+    1: [[0]], 2: [[0]], 3: [[0]], 4: [[0, 1]], 5: [[0]], 6: [[0], [1]],
+    7: [[0]], 8: [[0, 1, 4], [2, 3]], 9: [[0, 1]], 10: [[0], [1]],
+    11: [[0]], 12: [[0, 3], [1, 4], [2]], 13: [[0]], 14: [[0], [1]],
+    15: [[0]], 16: [[0, 1, 4, 9, 13], [2, 3, 5, 10, 11, 12], [6, 7, 8]],
+    17: [[0]], 18: [[0], [1, 4], [2], [3]], 19: [[0]],
+    20: [[0, 3], [1, 4], [2]], 21: [[0], [1]], 22: [[0], [1]], 23: [[0]],
+    24: [[0, 4, 6, 13], [1, 8, 14], [2], [3, 5, 7], [9, 10], [11], [12]],
+}
+
+
+@pytest.mark.parametrize("order", sorted(GROUP_FAMILIES))
+def test_group_families_match_record_and_slow_identity_modules(order):
+    groups = load_catalog().groups_of_order(order)
+    families = group_family_partition(groups)
+    assert families == GROUP_FAMILIES[order]
+    slow = xmod_family_partition([identity_xmod(G) for G in groups], slow=True)
+    assert slow == families
