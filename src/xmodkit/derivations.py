@@ -135,14 +135,23 @@ class DerivationMonoid:
         return self._idx
 
     def unit_indices(self) -> tuple:
-        """Indices with a two-sided circle inverse."""
+        """Indices with a two-sided circle inverse.
+
+        In a finite monoid a right inverse is two-sided, so the first j
+        with t[i][j] = 0 is confirmed by t[j][i] = 0; row i is scanned
+        for another j only when that confirmation fails."""
         t = self.op
         n = len(self.elements)
-        return tuple(
-            i
-            for i in range(n)
-            if any(t[i][j] == 0 and t[j][i] == 0 for j in range(n))
-        )
+        units = []
+        for i, row in enumerate(t):
+            if 0 not in row:
+                continue
+            j = row.index(0)
+            if t[j][i] == 0 or any(
+                row[k] == 0 and t[k][i] == 0 for k in range(n)
+            ):
+                units.append(i)
+        return tuple(units)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -228,16 +237,14 @@ def whitehead_group(X: CrossedModule, *, cap: int = DERIVATION_CAP):
     monoid = all_derivations(X, cap=cap)
     units = monoid.unit_indices()
     pos = {u: k for k, u in enumerate(units)}
-    table = []
-    for u in units:
-        row = []
-        for v in units:
-            w = pos.get(monoid.op[u][v])
-            if w is None:
-                raise RuntimeError("unit product fell outside the units")
-            row.append(w)
-        table.append(tuple(row))
-    carrier = FiniteGroup(table)
+    try:
+        table = tuple(
+            tuple(map(pos.__getitem__, compose_perms(monoid.op[u], units)))
+            for u in units
+        )
+    except KeyError:
+        raise RuntimeError("unit product fell outside the units") from None
+    carrier = FiniteGroup._of_table(table)
     members = tuple(monoid.elements[u] for u in units)
     result = WhiteheadGroup(carrier, members, monoid)
     X._cache["whitehead"] = result
@@ -290,9 +297,11 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
             )
         boundary.append(j)
     der_of = {d.image_of: k for k, d in enumerate(w.member_derivations)}
-    rows = []
-    for j, m in enumerate(morphisms):
-        alpha = m.alpha.image_of
+    rows: list = [None] * auts.order
+    rows[auts.identity] = tuple(range(len(w.member_derivations)))
+    gens = generating_sequence(auts)
+    for j in gens:
+        alpha = morphisms[j].alpha.image_of
         beta_inv = morphisms[auts.inv[j]].beta.image_of
         row = []
         for der in w.member_derivations:
@@ -303,7 +312,19 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
                     "automorphism action left the Whitehead group"
                 )
             row.append(k)
-        rows.append(tuple(row))
+        rows[j] = tuple(row)
+    # the action is a homomorphism, so the row of c s is row c after row s;
+    # make_xmod checks that law on every (x, s) of the composed table
+    seen = {auts.identity}
+    queue = [auts.identity]
+    for c in queue:
+        for s in gens:
+            t = auts.mul[c][s]
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+                if rows[t] is None:
+                    rows[t] = compose_perms(rows[c], rows[s])
     xm = make_xmod(w.carrier, auts, tuple(boundary), rows)
     result = ActorXMod(xm, w, w.member_derivations, tuple(morphisms))
     X._cache["actor"] = result

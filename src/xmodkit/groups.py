@@ -45,19 +45,35 @@ class FiniteGroup:
         catalog_id: Optional[tuple[int, int]] = None,
         check: bool = True,
     ):
-        table = tuple(tuple(map(int, row)) for row in mul)
+        self._build(tuple(tuple(map(int, row)) for row in mul), catalog_id, check)
+
+    @classmethod
+    def _of_table(
+        cls, table: tuple[tuple[int, ...], ...], *, check: bool = True
+    ) -> "FiniteGroup":
+        """A group from a table built inside the package, a tuple of int
+        tuples, taken as it is: no per-entry copy."""
+        group = cls.__new__(cls)
+        group._build(table, None, check)
+        return group
+
+    def _build(self, table: tuple[tuple[int, ...], ...], catalog_id, check: bool):
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
-        for row in table:
-            if len(row) != n:
-                raise ValueError("multiplication table must be square")
-            if min(row) < 0 or max(row) >= n:
-                raise ValueError("table entry out of range")
-        # entries are in range, so n distinct entries make a permutation
-        for i, row in enumerate(table):
-            if len(set(row)) != n:
-                raise ValueError(f"row {i} is not a permutation")
+        full = set(range(n))
+        # one set per row settles the square, range and row checks at once;
+        # when it fails, the scans name the first fault in their order
+        if not all(len(row) == n and set(row) == full for row in table):
+            for row in table:
+                if len(row) != n:
+                    raise ValueError("multiplication table must be square")
+                if min(row) < 0 or max(row) >= n:
+                    raise ValueError("table entry out of range")
+            # entries are in range, so n distinct entries make a permutation
+            for i, row in enumerate(table):
+                if len(set(row)) != n:
+                    raise ValueError(f"row {i} is not a permutation")
         for j, col in enumerate(zip(*table)):
             if len(set(col)) != n:
                 raise ValueError(f"column {j} is not a permutation")
@@ -225,7 +241,7 @@ class Subgroup:
             table = tuple(
                 tuple(idx[mul[a][b]] for b in self.members) for a in self.members
             )
-            self._cache["group"] = FiniteGroup(table)
+            self._cache["group"] = FiniteGroup._of_table(table)
         return self._cache["group"]
 
     def __eq__(self, other) -> bool:
@@ -257,15 +273,18 @@ class GroupHom:
     ):
         self.source = source
         self.target = target
-        self.image_of = tuple(int(v) for v in image_of)
-        if len(self.image_of) != source.order:
+        # unchecked maps come from the package's own int tables, so they
+        # skip the per-entry copy but not the range check
+        img = tuple(map(int, image_of)) if check else tuple(image_of)
+        self.image_of = img
+        if len(img) != source.order:
             raise ValueError("image table length mismatch")
-        if any(v < 0 or v >= target.order for v in self.image_of):
+        if min(img) < 0 or max(img) >= target.order:
             raise ValueError("image out of range")
         if check:
             if self.image_of[source.identity] != target.identity:
                 raise ValueError("identity not preserved")
-            ms, mt, img = source.mul, target.mul, self.image_of
+            ms, mt = source.mul, target.mul
             for a in source.elements:
                 ia = img[a]
                 ra = ms[a]
@@ -346,7 +365,7 @@ def group_from_closure(
     if max_order is None:
         max_order = DEFAULT_CLOSURE_CAP
     elements, index = _closure_elements(generators, op, identity, max_order)
-    return FiniteGroup(_cayley_table(elements, index, op)), elements
+    return FiniteGroup._of_table(_cayley_table(elements, index, op)), elements
 
 
 def _closure_elements(
@@ -381,47 +400,50 @@ def _cayley_table(
     op: Callable[[Hashable, Hashable], Hashable],
 ) -> tuple[tuple[int, ...], ...]:
     """The multiplication table of a closed element list, identity first,
-    built from a Cayley graph instead of |G|^2 calls to op.
+    built row by row from a Cayley graph instead of |G|^2 calls to op.
 
     Generators are picked greedily in index order.  Each generator g costs
-    one right-multiplication map R_g = (index[e_i g])_i; every other column
-    t, with e_t = e_c g for a column c already known, is R_g composed with
-    column c, since e_i e_t = (e_i e_c) g.  By associativity this is the
-    table of op, entry for entry.
+    one left-multiplication map L_g = (index[g e_i])_i, which is row g;
+    every other row t, with e_t = e_r e_c for a generator r and a row c
+    already known, is L_r composed with row c, since e_t e_i = e_r (e_c e_i).
+    By associativity this is the table of op, entry for entry.
     """
     n = len(elements)
-    cols: list = [None] * n
-    cols[0] = tuple(range(n))
-    rights: list[tuple[int, ...]] = []
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    lefts: list[tuple[int, ...]] = []
     for g in range(n):
-        if cols[g] is not None:
+        if rows[g] is not None:
             continue
-        right = tuple(index[op(a, elements[g])] for a in elements)
-        cols[g] = right
-        rights.append(right)
+        e_g = elements[g]
+        left = tuple(index[op(e_g, a)] for a in elements)
+        rows[g] = left
+        lefts.append(left)
         # walk the Cayley graph of the generators so far from the identity
         seen = [False] * n
         seen[0] = True
         queue = [0]
         for c in queue:
-            for r in rights:
+            for r in lefts:
                 t = r[c]
                 if not seen[t]:
                     seen[t] = True
                     queue.append(t)
-                    if cols[t] is None:
-                        cols[t] = compose_perms(r, cols[c])
-    return tuple(zip(*cols))
+                    if rows[t] is None:
+                        rows[t] = compose_perms(r, rows[c])
+    return tuple(rows)
+
+
+def conjugation_row(G: FiniteGroup, g: int) -> tuple[int, ...]:
+    """The image table of x -> g x g^-1: column g^-1 of the table read at
+    the entries of row g."""
+    return compose_perms(tuple(map(itemgetter(G.inv[g]), G.mul)), G.mul[g])
 
 
 def conjugation_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Row g is the image table of x -> g x g^-1; computed once per group."""
     if "conjtab" not in G._cache:
-        # g x g^-1 is column g^-1 of the table read at the entries of row g
-        G._cache["conjtab"] = tuple(
-            compose_perms(tuple(map(itemgetter(G.inv[g]), G.mul)), G.mul[g])
-            for g in G.elements
-        )
+        G._cache["conjtab"] = tuple(conjugation_row(G, g) for g in G.elements)
     return G._cache["conjtab"]
 
 
@@ -460,7 +482,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(table, check=False)
+    return FiniteGroup._of_table(table, check=False)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -600,7 +622,7 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
     table = tuple(
         tuple(coset_of[mul[reps[a]][reps[b]]] for b in range(k)) for a in range(k)
     )
-    quotient = FiniteGroup(table, check=False)
+    quotient = FiniteGroup._of_table(table, check=False)
     proj = GroupHom(G, quotient, coset_of, check=False)
     return quotient, proj
 
@@ -808,7 +830,7 @@ def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
     elements = [f.image_of for f in auts]
     index = {t: i for i, t in enumerate(elements)}
     table = _cayley_table(elements, index, compose_perms)
-    result = (FiniteGroup(table, check=False), auts)
+    result = (FiniteGroup._of_table(table, check=False), auts)
     G._cache["aut"] = result
     return result
 

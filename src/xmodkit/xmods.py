@@ -24,6 +24,7 @@ from .groups import (
     all_isos,
     automorphisms,
     compose_perms,
+    conjugation_row,
     conjugation_table,
     generating_sequence,
     group_fingerprint,
@@ -77,14 +78,14 @@ class CrossedModule:
             self._check_action_rows()
             self._check_action_hom()
         if check_cm:
-            self._check_cm1()
+            self._check_cm1(on_generators=check_action)
             self._check_cm2()
 
     def _check_action_rows(self):
         n = self.g1.order
-        mul1 = self.g1.mul
         full = frozenset(range(n))
         gens = generating_sequence(self.g1)
+        cols = None  # cols[c][a] = a c, formed only if a row needs checking
         # rows already shown to be automorphisms of this group table
         passed = self.g1._cache.setdefault("automorphic_rows", set())
         for x, row in enumerate(self.action):
@@ -94,11 +95,13 @@ class CrossedModule:
                 raise XModAxiomError(
                     "action-not-automorphic", (x, None),
                     f"row {x} is not a bijection")
+            if cols is None:
+                cols = tuple(zip(*self.g1.mul))
             # row(a s) = row(a) row(s) for the generators s of g1 gives
             # row(a b) = row(a) row(b) by induction on a word for b
             if not all(
-                row[ra[s]] == mul1[r][row[s]]
-                for s in gens for ra, r in zip(mul1, row)
+                compose_perms(row, cols[s]) == compose_perms(cols[row[s]], row)
+                for s in gens
             ):
                 self._scan_action_row(x, row)
             passed.add(row)
@@ -147,8 +150,16 @@ class CrossedModule:
                         "action-not-homomorphic", (x, y),
                         "action of a product is not the composite")
 
-    def _check_cm1(self):
+    def _check_cm1(self, on_generators: bool):
         d = self.boundary.image_of
+        # when the action is a homomorphism, CM1 at x and at y gives it at
+        # x y: d act(x y) = d act(x) act(y) = conj(x) d act(y) = conj(x y) d
+        if on_generators and all(
+            compose_perms(d, self.action[s])
+            == compose_perms(conjugation_row(self.g0, s), d)
+            for s in generating_sequence(self.g0)
+        ):
+            return
         conj0 = conjugation_table(self.g0)
         for x, row in enumerate(self.action):
             # d(^x a) = x d(a) x^-1, for every a at once
@@ -207,8 +218,10 @@ def make_xmod(
     boundary may be a GroupHom or a plain image table.  The action laws
     are checked on generators: each row against the generators of g1, and
     the action of a product against the generators of g0, which implies
-    them for every pair.  When a generator check fails, the full table is
-    scanned, so the error carries the first failing pair in scan order.
+    them for every pair.  Once the action is a homomorphism, CM1 too is
+    checked on the generators of g0.  When a generator check fails, the
+    full table is scanned, so the error carries the first failing pair in
+    scan order.
     """
     if not isinstance(boundary, GroupHom):
         boundary = GroupHom(g1, g0, boundary)
@@ -552,50 +565,58 @@ def xmod_fingerprint(X: CrossedModule) -> tuple:
     return X._cache["fp"]
 
 
-def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
-    """Every isomorphism X -> Y, searching beta first; on X against itself
-    the identity comes first.
+def _alpha_tables(
+    X: CrossedModule, Y: CrossedModule, bt: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Image tables of the alpha that pair with the isomorphism bt of the
+    base groups into an isomorphism X -> Y, in backtracking order: by
+    ascending images of generating_sequence(X.g1).
 
     Equivariance, alpha o act_X(x) = act_Y(beta x) o alpha, is checked
     for x in generating_sequence(g0) only: both actions are homomorphisms
     into the automorphisms (CrossedModule validates them unless built
     with check_action=False), so it then holds on every product."""
+    dX, dY = X.boundary.image_of, Y.boundary.image_of
+    g1x, g1y = X.g1, Y.g1
+    eo_x, eo_y = g1x.elem_order, g1y.elem_order
+    bd = compose_perms(bt, dX)
+    rows = [(X.action[x], Y.action[bt[x]]) for x in generating_sequence(X.g0)]
+
+    def candidates(g: int) -> list[int]:
+        want = bd[g]
+        return [h for h in g1y.elements if eo_y[h] == eo_x[g] and dY[h] == want]
+
+    for img in _extensions(g1x, g1y, candidates):
+        if len(set(img)) != g1x.order:
+            continue
+        if compose_perms(dY, img) == bd and all(
+            compose_perms(img, row_s) == compose_perms(row_t, img)
+            for row_s, row_t in rows
+        ):
+            yield img
+
+
+def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
+    """Every isomorphism X -> Y, searching beta first; on X against itself
+    the identity comes first.  For each beta, in the order of its list,
+    the alphas come in _alpha_tables order."""
     if X.order() != Y.order():
         return
     same = X == Y
     if same:
         yield identity_morphism(X)
-    dX, dY = X.boundary.image_of, Y.boundary.image_of
     g1x, g1y = X.g1, Y.g1
-    eo_x, eo_y = g1x.elem_order, g1y.elem_order
     id_pair = (tuple(g1x.elements), tuple(X.g0.elements))
-    gens0 = generating_sequence(X.g0)
     if X.g0 is Y.g0:
         betas = automorphisms(X.g0)
     else:
         betas = all_isos(X.g0, Y.g0)
-
     for beta in betas:
-        bt = beta.image_of
-        bd = compose_perms(bt, dX)
-        rows = [(X.action[x], Y.action[bt[x]]) for x in gens0]
-
-        def candidates(g: int) -> list[int]:
-            want = bd[g]
-            return [h for h in g1y.elements if eo_y[h] == eo_x[g] and dY[h] == want]
-
-        for img in _extensions(g1x, g1y, candidates):
-            if len(set(img)) != g1x.order:
+        for img in _alpha_tables(X, Y, beta.image_of):
+            if same and (img, beta.image_of) == id_pair:
                 continue
-            ok = compose_perms(dY, img) == bd and all(
-                compose_perms(img, row_s) == compose_perms(row_t, img)
-                for row_s, row_t in rows
-            )
-            if ok:
-                if same and (img, bt) == id_pair:
-                    continue
-                alpha = GroupHom(g1x, g1y, img, check=False)
-                yield XModMorphism(X, Y, alpha, beta, check=False)
+            alpha = GroupHom(g1x, g1y, img, check=False)
+            yield XModMorphism(X, Y, alpha, beta, check=False)
 
 
 def is_isomorphic_xmod(
@@ -610,21 +631,81 @@ def is_isomorphic_xmod(
     return None
 
 
+def _xmod_aut_pairs(X: CrossedModule) -> list[tuple[GroupHom, tuple[int, ...]]]:
+    """The (beta, alpha image table) pairs of Aut(X), in all_xmod_isos(X, X)
+    order, built from cosets of the kernel instead of one search per beta.
+
+    Aut(X) is the stabilizer of (boundary, action) in Aut(g1) x Aut(g0),
+    so the alphas over one beta of its projection B are a coset a_beta K
+    of the kernel K = {alpha : (alpha, 1) in Aut(X)}.  K is searched in
+    full once.  B is a group, so it is closed over beta from the betas a
+    first-hit search pairs with an alpha, carrying one alpha per beta; a
+    beta that no alpha pairs with lies outside B, and so does its coset
+    beta B.  Each beta is searched only when neither is known yet."""
+    g1, betas = X.g1, automorphisms(X.g0)
+    ident = betas[0].image_of
+    kernel = list(_alpha_tables(X, X, ident))
+    alpha_of = {ident: tuple(g1.elements)}  # one alpha per beta of B
+    found: list[tuple[tuple, tuple]] = []  # (beta, alpha) generating B
+    failed: list[tuple[int, ...]] = []
+    outside: set = set()
+    for beta in betas:
+        bt = beta.image_of
+        if bt in alpha_of or bt in outside:
+            continue
+        alpha = next(_alpha_tables(X, X, bt), None)
+        if alpha is None:
+            failed.append(bt)
+            outside.update(compose_perms(bt, b) for b in alpha_of)
+            continue
+        found.append((bt, alpha))
+        reached = list(alpha_of)
+        for b in reached:
+            a = alpha_of[b]
+            for gb, ga in found:
+                p = compose_perms(b, gb)
+                if p not in alpha_of:
+                    alpha_of[p] = compose_perms(a, ga)
+                    reached.append(p)
+        # B grew, so every failed coset grew with it
+        outside = {compose_perms(f, b) for f in failed for b in alpha_of}
+    gens1 = generating_sequence(g1)
+    pairs = []
+    for beta in betas:
+        a = alpha_of.get(beta.image_of)
+        if a is not None:
+            coset = [compose_perms(a, k) for k in kernel]
+            # _alpha_tables order: ascending images of the generators
+            coset.sort(key=lambda t: [t[g] for g in gens1])
+            pairs.extend((beta, t) for t in coset)
+    return pairs
+
+
 def xmod_automorphism_group(
     X: CrossedModule,
 ) -> tuple[FiniteGroup, list[XModMorphism]]:
-    """Aut(X) with composition (f*g) = f after g; identity is element 0."""
+    """Aut(X) with composition (f*g) = f after g; identity is element 0.
+
+    The list is all_xmod_isos(X, X) in its order, identity first; the
+    table is built row by row from generators of the group."""
     if "aut" in X._cache:
         return X._cache["aut"]
-    auts = list(all_xmod_isos(X, X))
-    elements = [(f.alpha.image_of, f.beta.image_of) for f in auts]
+    g1 = X.g1
+    id_pair = (tuple(g1.elements), tuple(X.g0.elements))
+    auts = [identity_morphism(X)]
+    elements = [id_pair]
+    for beta, img in _xmod_aut_pairs(X):
+        pair = (img, beta.image_of)
+        if pair != id_pair:
+            alpha = GroupHom(g1, g1, img, check=False)
+            auts.append(XModMorphism(X, X, alpha, beta, check=False))
+            elements.append(pair)
     index = {pair: i for i, pair in enumerate(elements)}
     table = _cayley_table(
         elements, index,
         lambda f, g: (compose_perms(f[0], g[0]), compose_perms(f[1], g[1])),
     )
-    group = FiniteGroup(table, check=False)
-    result = (group, auts)
+    result = (FiniteGroup._of_table(table, check=False), auts)
     X._cache["aut"] = result
     return result
 

@@ -204,18 +204,22 @@ def test_inversion_module_whitehead_and_actor():
 
 
 def test_actor_action_is_alpha_der_beta_inverse():
-    x = inversion_module_c8()
-    act_x = actor(x)
-    auts = act_x.xmod.g0
-    for j, m in enumerate(act_x.automorphisms):
-        alpha = m.alpha.image_of
-        beta_inv = act_x.automorphisms[auts.inv[j]].beta.image_of
-        for k, der in enumerate(act_x.derivations):
-            moved = tuple(
-                alpha[der.image_of[beta_inv[t]]] for t in x.g0.elements
-            )
-            target = act_x.derivations[act_x.xmod.action[j][k]]
-            assert moved == target.image_of
+    # the actor computes the rows of generators of Aut(X) and composes the
+    # rest; every row must still be alpha o der o beta^-1
+    modules = [inversion_module_c8()]
+    modules += _representatives(4, 4) + _representatives(8, 4)
+    for x in modules:
+        act_x = actor(x)
+        auts = act_x.xmod.g0
+        for j, m in enumerate(act_x.automorphisms):
+            alpha = m.alpha.image_of
+            beta_inv = act_x.automorphisms[auts.inv[j]].beta.image_of
+            for k, der in enumerate(act_x.derivations):
+                moved = tuple(
+                    alpha[der.image_of[beta_inv[t]]] for t in x.g0.elements
+                )
+                target = act_x.derivations[act_x.xmod.action[j][k]]
+                assert moved == target.image_of
 
 
 def test_canonical_morphism_and_inner_actor():

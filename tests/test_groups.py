@@ -99,6 +99,8 @@ def test_table_validation():
         ([], "empty multiplication table"),
         ([[0, 1]], "multiplication table must be square"),
         ([[0, 1], [1, 2]], "table entry out of range"),
+        # row 0 is no permutation, but every range check runs first
+        ([[0, 0], [1, 2]], "table entry out of range"),
         ([[0, -1], [1, 0]], "table entry out of range"),
         ([[0, 1], [1, 1]], "row 1 is not a permutation"),
         # every row a permutation, column 0 not
@@ -113,6 +115,10 @@ def test_table_validation():
     shifted = [[(i + j - 1) % 4 for j in range(4)] for i in range(4)]
     g = FiniteGroup(shifted)
     assert g.identity == 1
+    # a list-of-lists table of int-like entries comes back as int tuples
+    g = FiniteGroup([[False, True], [True, False]])
+    assert g.mul == ((0, 1), (1, 0))
+    assert all(type(v) is int for row in g.mul for v in row)
 
 
 def test_not_associative_rejected():
@@ -232,6 +238,11 @@ def test_hom_validation_and_composition():
     c2 = cyclic_group(2)
     with pytest.raises(ValueError):
         GroupHom(c4, c2, (0, 1, 1, 0))
+    # an unchecked map is still range-checked, whatever its container
+    for image in ([0, 1, 2, 1], [0, -1, 0, 1], (0, 1, 0, 2)):
+        with pytest.raises(ValueError) as err:
+            GroupHom(c4, c2, image, check=False)
+        assert str(err.value) == "image out of range"
     proj = GroupHom(c4, c2, (0, 1, 0, 1))
     sq = GroupHom(c2, c4, (0, 2))
     comp = sq.after(proj)

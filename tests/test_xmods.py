@@ -6,6 +6,7 @@ import pytest
 from xmodkit.catalog import catalog_group
 from xmodkit.groups import (
     GroupHom,
+    abelian_group,
     Subgroup,
     center,
     compose_perms,
@@ -13,6 +14,7 @@ from xmodkit.groups import (
     derived_subgroup,
     generating_sequence,
     group_from_generators,
+    identity_hom,
     subgroup_generated,
     symmetric_group,
 )
@@ -175,6 +177,24 @@ def test_xmod_automorphism_group_table_against_brute_force():
     assert max(orders) == 1008
 
 
+@pytest.mark.parametrize("n, m", [(4, 4), (6, 6), (8, 4)])
+def test_automorphism_list_is_all_xmod_isos_in_order(n, m):
+    """xmod_automorphism_group builds Aut(X) from kernel cosets; its list
+    must be all_xmod_isos(X, X), the search over every beta, in order."""
+    from xmodkit.census import all_xmods, reduce_by_isomorphism
+
+    sizes = []
+    for X in reduce_by_isomorphism(all_xmods(n, m)).representatives:
+        got = [(f.alpha.image_of, f.beta.image_of)
+               for f in xmod_automorphism_group(X)[1]]
+        want = [(f.alpha.image_of, f.beta.image_of)
+                for f in all_xmod_isos(X, X)]
+        assert got == want
+        sizes.append(len(got))
+    if (n, m) == (8, 4):
+        assert max(sizes) == 1008
+
+
 def test_self_isomorphisms_match_full_table_filter():
     """all_xmod_isos(X, X) checks equivariance on generators of g0 only;
     as a set it equals every pair in Aut(G1) x Aut(G0) that passes the
@@ -202,6 +222,36 @@ def test_self_isomorphisms_match_full_table_filter():
             ]
             assert len(found) == len(set(found))
             assert set(found) == expected
+
+
+def test_cm1_witness_after_the_first_generator():
+    # a valid action makes CM1 hold on a subgroup, so its first failure in
+    # scan order is at a generator; here the second one, with a > 1
+    k4 = abelian_group([2, 2])
+    assert generating_sequence(k4) == [1, 2]
+    ident, swap = (0, 1, 2, 3), (0, 1, 3, 2)
+    act = [ident, ident, swap, swap]
+    with pytest.raises(XModAxiomError) as err:
+        make_xmod(k4, k4, ident, act)
+    assert err.value.code == "cm1"
+    assert err.value.witness == (2, 2) == next(
+        (x, a) for x in k4.elements for a in k4.elements
+        if act[x][a] != k4.conj(x, a))
+
+
+def test_cm1_scans_in_full_without_the_action_checks():
+    # CM1 holds at the only generator of C4 and fails at x = 2; without the
+    # action checks CM1 on generators proves nothing, so the scan finds it
+    c4 = cyclic_group(4)
+    assert generating_sequence(c4) == [1]
+    ident, inv = (0, 1, 2, 3), (0, 3, 2, 1)
+    act = [ident, ident, inv, ident]
+    with pytest.raises(XModAxiomError) as err:
+        CrossedModule(c4, c4, identity_hom(c4), act, check_action=False)
+    assert err.value.code == "cm1" and err.value.witness == (2, 1)
+    with pytest.raises(XModAxiomError) as err:
+        CrossedModule(c4, c4, identity_hom(c4), act)
+    assert err.value.code == "action-not-homomorphic"
 
 
 def test_action_shape_checked():
