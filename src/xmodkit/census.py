@@ -405,12 +405,12 @@ def _family_report(index: int, members: Sequence[int], reps) -> FamilyReport:
     )
 
 
-def classify_families(result: CensusResult, *, slow: bool = False) -> CensusResult:
+def classify_families(result: CensusResult) -> CensusResult:
     """Partition representatives into isoclinism families and report each."""
     if result.class_map is None:
         raise ValueError("classify_families needs the representatives stage")
     reps = result.representatives
-    families = [tuple(f) for f in xmod_family_partition(reps, slow=slow)]
+    families = [tuple(f) for f in xmod_family_partition(reps)]
     reports = [_family_report(i, fam, reps) for i, fam in enumerate(families)]
     return CensusResult(
         order_pair=result.order_pair,
@@ -595,22 +595,17 @@ def census(
     m: int,
     *,
     cache_dir=None,
-    slow: bool = False,
 ) -> CensusResult:
     """Full pipeline for order [n, m], with optional directory caching.
 
     A cache hit returns the stored result; any mismatch rebuilds and
-    overwrites.  slow=True routes both reduction and classification
-    through the brute-force paths (the counts must not change).
+    overwrites.
     """
     if cache_dir is not None:
         cached = load_census(cache_dir, n, m)
         if cached is not None:
             return cached
-    result = classify_families(
-        reduce_by_isomorphism(all_xmods(n, m), slow=slow),
-        slow=slow,
-    )
+    result = classify_families(reduce_by_isomorphism(all_xmods(n, m)))
     if cache_dir is not None:
         save_census(result, cache_dir)
     return result

@@ -11,7 +11,6 @@ of the actor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from types import SimpleNamespace
 
 from .groups import (
@@ -19,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _closure,
     _extensions,
     _OnDemandTable,
     compose_perms,
@@ -94,20 +94,19 @@ def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
 
 def _semidirect(X: CrossedModule) -> SimpleNamespace:
     """g1 x| g0, (a, x)(b, y) = (a * ^x b, xy) at index a*|g0| + x, as a
-    search target of _extensions: identity and mul only, each row built
-    the first time it is read, so no FiniteGroup of order |g1||g0| is built
-    or validated and only the rows of the images found are formed."""
+    search target of _extensions: identity and mul only, each entry
+    computed the first time it is read, so no FiniteGroup of order
+    |g1||g0| is built or validated and only the entries the search reads
+    are formed."""
     n0 = X.g0.order
-    # blocks[x][c] is the row segment (c, x*y) for every y
-    blocks = _OnDemandTable(
-        lambda x: [tuple(c * n0 + v for v in X.g0.mul[x]) for c in X.g1.elements]
-    )
+    mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
 
-    def row(s: int) -> tuple[int, ...]:
+    def row(s: int) -> _OnDemandTable:
         a, x = divmod(s, n0)
-        return tuple(chain.from_iterable(
-            blocks[x][c] for c in compose_perms(X.g1.mul[a], X.action[x])
-        ))
+        ra, rx, act_x = mul1[a], mul0[x], act[x]
+        return _OnDemandTable(
+            lambda t: ra[act_x[t // n0]] * n0 + rx[t % n0]
+        )
 
     return SimpleNamespace(
         identity=X.g1.identity * n0 + X.g0.identity, mul=_OnDemandTable(row)
@@ -297,9 +296,8 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
             )
         boundary.append(j)
     der_of = {d.image_of: k for k, d in enumerate(w.member_derivations)}
-    rows: list = [None] * auts.order
-    rows[auts.identity] = tuple(range(len(w.member_derivations)))
     gens = generating_sequence(auts)
+    gen_rows = []
     for j in gens:
         alpha = morphisms[j].alpha.image_of
         beta_inv = morphisms[auts.inv[j]].beta.image_of
@@ -312,19 +310,16 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
                     "automorphism action left the Whitehead group"
                 )
             row.append(k)
-        rows[j] = tuple(row)
-    # the action is a homomorphism, so the row of c s is row c after row s;
-    # make_xmod checks that law on every (x, s) of the composed table
-    seen = {auts.identity}
-    queue = [auts.identity]
-    for c in queue:
-        for s in gens:
-            t = auts.mul[c][s]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-                if rows[t] is None:
-                    rows[t] = compose_perms(rows[c], rows[s])
+        gen_rows.append(tuple(row))
+    # the action is a homomorphism, so the row of s c is row s after row c,
+    # along the Schreier tree of auts; make_xmod checks that law on every
+    # (x, s) of the composed table
+    reached, _, edges = _closure(
+        auts.identity, [auts.mul[s].__getitem__ for s in gens], auts.order)
+    rows: list = [None] * auts.order
+    rows[auts.identity] = tuple(range(len(w.member_derivations)))
+    for t, (c, j) in zip(reached[1:], edges[1:]):
+        rows[t] = compose_perms(gen_rows[j], rows[reached[c]])
     xm = make_xmod(w.carrier, auts, tuple(boundary), rows)
     result = ActorXMod(xm, w, w.member_derivations, tuple(morphisms))
     X._cache["actor"] = result

@@ -87,9 +87,14 @@ class FiniteGroup:
         if identity is None:
             raise ValueError("no two-sided identity")
         # associativity is checked only at small orders; larger tables
-        # come from closures, which are associative by build.  When Light's
-        # test fails, the full scan names the first failing triple
-        if check and n <= 64 and not _light_associative(table, identity):
+        # come from closures, which are associative by build.  Light's test
+        # runs on the generating sequence, kept for generating_sequence;
+        # when it fails, the full scan names the first failing triple
+        gens = None
+        if check and n <= 64:
+            gens = _greedy_generators(
+                range(n), lambda s: table[s].__getitem__, identity, n)[0]
+        if gens is not None and not _light_associative(table, gens):
             for a in range(n):
                 ra = table[a]
                 for b in range(n):
@@ -118,7 +123,7 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.elem_order = tuple(orders)
         self.catalog_id = catalog_id
-        self._cache = {}
+        self._cache = {} if gens is None else {"gens": tuple(gens)}
 
     @property
     def elements(self) -> range:
@@ -162,30 +167,20 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}{tag})"
 
 
-def _light_associative(table: tuple[tuple[int, ...], ...], identity: int) -> bool:
+def _light_associative(
+    table: tuple[tuple[int, ...], ...], gens: Sequence[int]
+) -> bool:
     """Light's associativity test on a Latin square with an identity.
 
     The elements s with (x s) y = x (s y) for all x, y are closed under
     the product: x (s t) = (x s) t, so (x (s t)) y = (x s)(t y) =
-    x (s (t y)) = x ((s t) y).  So the test needs only a set S whose
-    right-multiplication closure from the identity covers the table,
-    picked greedily in index order.  Each s costs n compositions of
-    rows: row x s against row x composed with row s.
+    x (s (t y)) = x ((s t) y).  So the test needs only gens, a set whose
+    closure from the identity covers the table.  Each s costs n
+    compositions of rows: row x s against row x composed with row s.
     """
-    n = len(table)
-    gens: list[int] = []
-    reached: dict = {identity: 0}
-    for s in range(n):
-        if s in reached:
-            continue
-        row_s = table[s]
-        if any(table[rx[s]] != compose_perms(rx, row_s) for rx in table):
-            return False
-        gens.append(s)
-        _, reached = _closure_elements(
-            gens, lambda a, g: table[a][g], identity, n
-        )
-    return True
+    return not any(
+        table[rx[s]] != compose_perms(rx, table[s]) for s in gens for rx in table
+    )
 
 
 class Subgroup:
@@ -364,34 +359,70 @@ def group_from_closure(
     """
     if max_order is None:
         max_order = DEFAULT_CLOSURE_CAP
-    elements, index = _closure_elements(generators, op, identity, max_order)
+    steps = [lambda a, g=g: op(a, g) for g in generators]
+    elements, index, _ = _closure(identity, steps, max_order)
     return FiniteGroup._of_table(_cayley_table(elements, index, op)), elements
 
 
-def _closure_elements(
-    generators: Sequence[Hashable],
-    op: Callable[[Hashable, Hashable], Hashable],
+def _closure(
     identity: Hashable,
+    steps: Sequence[Callable[[Hashable], Hashable]],
     max_order: int,
-) -> tuple[list, dict]:
-    """The breadth-first element list of group_from_closure and its index."""
-    elements = [identity]
-    index = {identity: 0}
-    i = 0
-    gens = list(generators)
-    while i < len(elements):
-        a = elements[i]
-        i += 1
-        for g in gens:
-            p = op(a, g)
-            if p not in index:
+    known: Optional[tuple[list, dict, list]] = None,
+) -> tuple[list, dict, list]:
+    """The breadth-first closure of identity under steps, one map per
+    generator taking an element to its product with that generator.
+
+    Returns (elements, index, edges), the identity first.  edges[t] = (c, j)
+    is the edge that first reached elements[t] = steps[j](elements[c]), with
+    c < t, so the edges form a Schreier tree of the closure; edges[0] is
+    None.  known, a closure under steps[:-1], is extended in place by the
+    last step: its elements are closed under the other steps already.
+    """
+    if known is None:
+        elements, index, edges = [identity], {identity: 0}, [None]
+        old = 0
+    else:
+        elements, index, edges = known
+        old = len(elements)
+    every = list(enumerate(steps))
+    newest = every[-1:]
+    for c, x in enumerate(elements):
+        for j, step in newest if c < old else every:
+            y = step(x)
+            if y not in index:
                 if len(elements) >= max_order:
                     raise CapExceededError(
                         f"closure exceeded cap of {max_order} elements"
                     )
-                index[p] = len(elements)
-                elements.append(p)
-    return elements, index
+                index[y] = len(elements)
+                elements.append(y)
+                edges.append((c, j))
+    return elements, index, edges
+
+
+def _greedy_generators(
+    candidates: Iterable[Hashable],
+    step_of: Callable[[Hashable], Callable[[Hashable], Hashable]],
+    identity: Hashable,
+    max_order: int,
+) -> tuple[list, tuple[list, dict, list]]:
+    """The candidates, in their order, that the earlier picks do not
+    generate, with the _closure of the picks under step_of(pick).
+
+    Stops once the closure holds max_order elements."""
+    picks: list = []
+    steps: list = []
+    closure = _closure(identity, steps, max_order)  # grows in place
+    reached, index, _ = closure
+    for g in candidates:
+        if len(reached) == max_order:
+            break
+        if g not in index:
+            picks.append(g)
+            steps.append(step_of(g))
+            _closure(identity, steps, max_order, closure)
+    return picks, closure
 
 
 def _cayley_table(
@@ -404,33 +435,24 @@ def _cayley_table(
 
     Generators are picked greedily in index order.  Each generator g costs
     one left-multiplication map L_g = (index[g e_i])_i, which is row g;
-    every other row t, with e_t = e_r e_c for a generator r and a row c
-    already known, is L_r composed with row c, since e_t e_i = e_r (e_c e_i).
-    By associativity this is the table of op, entry for entry.
+    every other row t, reached by the edge e_t = e_r e_c of the Schreier
+    tree from a generator r and a row c, is L_r composed with row c, since
+    e_t e_i = e_r (e_c e_i).  By associativity this is the table of op,
+    entry for entry.
     """
     n = len(elements)
+    lefts: list[tuple[int, ...]] = []
+
+    def left(g: int):
+        e_g = elements[g]
+        lefts.append(tuple(index[op(e_g, a)] for a in elements))
+        return lefts[-1].__getitem__
+
+    _, (reached, _, edges) = _greedy_generators(range(n), left, 0, n)
     rows: list = [None] * n
     rows[0] = tuple(range(n))
-    lefts: list[tuple[int, ...]] = []
-    for g in range(n):
-        if rows[g] is not None:
-            continue
-        e_g = elements[g]
-        left = tuple(index[op(e_g, a)] for a in elements)
-        rows[g] = left
-        lefts.append(left)
-        # walk the Cayley graph of the generators so far from the identity
-        seen = [False] * n
-        seen[0] = True
-        queue = [0]
-        for c in queue:
-            for r in lefts:
-                t = r[c]
-                if not seen[t]:
-                    seen[t] = True
-                    queue.append(t)
-                    if rows[t] is None:
-                        rows[t] = compose_perms(r, rows[c])
+    for t, (c, j) in zip(reached[1:], edges[1:]):
+        rows[t] = compose_perms(lefts[j], rows[reached[c]])
     return tuple(rows)
 
 
@@ -550,28 +572,14 @@ def abelian_group(invariants: Sequence[int]) -> FiniteGroup:
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    members = [G.identity]
-    seen = {G.identity}
-    gens = [s for s in seeds if s != G.identity]
     mul = G.mul
-    i = 0
-    while i < len(members):
-        a = members[i]
-        i += 1
-        for g in gens:
-            p = mul[a][g]
-            if p not in seen:
-                seen.add(p)
-                members.append(p)
-    return Subgroup(G, seen, check=False)
+    _, (members, _, _) = _greedy_generators(
+        seeds, lambda g: mul[g].__getitem__, G.identity, G.order)
+    return Subgroup(G, members, check=False)
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, G.elements, check=False)
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,), check=False)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -629,19 +637,11 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """A short generating sequence found greedily by ascending index."""
-    if "gens" in G._cache:
-        return list(G._cache["gens"])
-    gens: list[int] = []
-    reached = {G.identity}
-    for x in G.elements:
-        if x in reached:
-            continue
-        gens.append(x)
-        reached = subgroup_generated(G, gens).member_set
-        if len(reached) == G.order:
-            break
-    G._cache["gens"] = tuple(gens)
-    return gens
+    if "gens" not in G._cache:
+        mul = G.mul
+        G._cache["gens"] = tuple(_greedy_generators(
+            G.elements, lambda g: mul[g].__getitem__, G.identity, G.order)[0])
+    return list(G._cache["gens"])
 
 
 class _OnDemandTable(dict):
@@ -789,22 +789,17 @@ def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
     """A generating set of Aut(G), picked greedily from automorphisms(G).
 
     Each automorphism, in list order, that the generators picked so far do
-    not reach becomes a generator, and the reached set is closed again by
+    not reach becomes a generator, and the reached set is extended by
     composing image tables.  No Cayley table of Aut(G) is built, so this
     stays cheap where automorphism_group refuses (|Aut C2^4| = 20160).
     """
     if "autgens" not in G._cache:
         auts = automorphisms(G)
-        ident = auts[0].image_of
-        gens: list[GroupHom] = []
-        reached: dict = {ident: 0}
-        for f in auts:
-            if f.image_of not in reached:
-                gens.append(f)
-                _, reached = _closure_elements(
-                    [g.image_of for g in gens], compose_perms, ident, len(auts)
-                )
-        G._cache["autgens"] = tuple(gens)
+        by_table = {f.image_of: f for f in auts}
+        # itemgetter(*t) maps x to x o t; a non-identity t has |G| > 2 entries
+        picks, _ = _greedy_generators(
+            by_table, lambda t: itemgetter(*t), auts[0].image_of, len(auts))
+        G._cache["autgens"] = tuple(map(by_table.__getitem__, picks))
     return G._cache["autgens"]
 
 
@@ -836,17 +831,28 @@ def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
 
 
 def group_fingerprint(G: FiniteGroup) -> tuple:
-    """A cheap isomorphism invariant used to prefilter searches."""
+    """A cheap isomorphism invariant used to prefilter searches.
+
+    Its last entry is the sorted element orders of G/G', read without
+    building the quotient: gG' has the least order k with g^k in G', and
+    each coset repeats its order |G'| times among the sorted k."""
     if "fp" in G._cache:
         return G._cache["fp"]
     derived = derived_subgroup(G)
-    quotient, _ = quotient_group(G, derived)
+    inside, mul = derived.member_set, G.mul
+    coset_orders = []
+    for g in G.elements:
+        y, k = g, 1
+        while y not in inside:
+            y = mul[y][g]
+            k += 1
+        coset_orders.append(k)
     fp = (
         G.order,
         tuple(sorted(G.elem_order)),
         center(G).order,
         derived.order,
-        tuple(sorted(quotient.elem_order)),
+        tuple(sorted(coset_orders)[::derived.order]),
     )
     G._cache["fp"] = fp
     return fp

@@ -12,6 +12,7 @@ failures carry a distinct code and a witness pair.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import catalog_group
@@ -20,6 +21,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _cayley_table,
+    _closure,
     _extensions,
     all_isos,
     automorphisms,
@@ -538,22 +540,14 @@ def xmod_fingerprint(X: CrossedModule) -> tuple:
         ]
         ident = tuple(X.g1.elements)
         stab = [x for x in X.g0.elements if X.action[x] == ident]
+        steps = [row.__getitem__ for row in X.action]
         orbit_sizes = []
         seen = set()
         for a in X.g1.elements:
-            if a in seen:
-                continue
-            orbit = {a}
-            frontier = [a]
-            while frontier:
-                b = frontier.pop()
-                for row in X.action:
-                    c = row[b]
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            seen |= orbit
-            orbit_sizes.append(len(orbit))
+            if a not in seen:
+                orbit = _closure(a, steps, X.g1.order)[0]
+                seen.update(orbit)
+                orbit_sizes.append(len(orbit))
         X._cache["fp"] = (
             group_fingerprint(X.g1),
             group_fingerprint(X.g0),
@@ -645,36 +639,36 @@ def _xmod_aut_pairs(X: CrossedModule) -> list[tuple[GroupHom, tuple[int, ...]]]:
     g1, betas = X.g1, automorphisms(X.g0)
     ident = betas[0].image_of
     kernel = list(_alpha_tables(X, X, ident))
-    alpha_of = {ident: tuple(g1.elements)}  # one alpha per beta of B
-    found: list[tuple[tuple, tuple]] = []  # (beta, alpha) generating B
+    steps: list = []  # x -> x o beta for the betas found, which generate B
+    B = _closure(ident, steps, len(betas))  # grows in place
+    members, position, edges = B
+    alphas = [tuple(g1.elements)]  # alphas[i] pairs with members[i]
+    found: list[tuple[int, ...]] = []  # the alpha of each step
     failed: list[tuple[int, ...]] = []
     outside: set = set()
     for beta in betas:
         bt = beta.image_of
-        if bt in alpha_of or bt in outside:
+        if bt in position or bt in outside:
             continue
         alpha = next(_alpha_tables(X, X, bt), None)
         if alpha is None:
             failed.append(bt)
-            outside.update(compose_perms(bt, b) for b in alpha_of)
+            outside.update(compose_perms(bt, b) for b in members)
             continue
-        found.append((bt, alpha))
-        reached = list(alpha_of)
-        for b in reached:
-            a = alpha_of[b]
-            for gb, ga in found:
-                p = compose_perms(b, gb)
-                if p not in alpha_of:
-                    alpha_of[p] = compose_perms(a, ga)
-                    reached.append(p)
+        # a non-identity beta has |g0| > 2 entries, so itemgetter is x o beta
+        steps.append(itemgetter(*bt))
+        found.append(alpha)
+        _closure(ident, steps, len(betas), B)
+        for c, j in edges[len(alphas):]:
+            alphas.append(compose_perms(alphas[c], found[j]))
         # B grew, so every failed coset grew with it
-        outside = {compose_perms(f, b) for f in failed for b in alpha_of}
+        outside = {compose_perms(f, b) for f in failed for b in members}
     gens1 = generating_sequence(g1)
     pairs = []
     for beta in betas:
-        a = alpha_of.get(beta.image_of)
-        if a is not None:
-            coset = [compose_perms(a, k) for k in kernel]
+        i = position.get(beta.image_of)
+        if i is not None:
+            coset = [compose_perms(alphas[i], k) for k in kernel]
             # _alpha_tables order: ascending images of the generators
             coset.sort(key=lambda t: [t[g] for g in gens1])
             pairs.extend((beta, t) for t in coset)
@@ -747,9 +741,6 @@ class _LineReader:
         line = self.lines[self.pos]
         self.pos += 1
         return line
-
-    def peek(self) -> Optional[str]:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
 
 
 def _parse_group(reader: _LineReader, tag: str) -> FiniteGroup:

@@ -18,6 +18,7 @@ from xmodkit.groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _closure,
     abelian_group,
     all_homs,
     all_isos,
@@ -134,10 +135,10 @@ def test_not_associative_rejected():
         ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
           [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
          "associativity fails at (1,1,2)"),
-        # Light's test checks only the middle elements {1, 4}, whose
-        # right-multiplication closure covers the table; the first
-        # failing triple has middle element 2, so only the full scan
-        # that follows a failed test can name it
+        # Light's test checks only the middle element 1, whose
+        # closure covers the table; the first failing triple has
+        # middle element 2, so only the full scan that follows a
+        # failed test can name it
         ([[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1],
           [3, 0, 5, 1, 2, 4], [4, 5, 0, 2, 1, 3], [5, 4, 1, 0, 3, 2]],
          "associativity fails at (1,2,1)"),
@@ -378,6 +379,77 @@ def test_generating_sequence():
     assert generating_sequence(cyclic_group(1)) == []
 
 
+def _check_tree(identity, steps, closure):
+    elements, index, edges = closure
+    assert elements[0] == identity and edges[0] is None
+    assert len(set(elements)) == len(elements) == len(edges)
+    assert index == {x: i for i, x in enumerate(elements)}
+    for t, (c, j) in enumerate(edges[1:], 1):
+        assert c < t and elements[t] == steps[j](elements[c])
+
+
+def test_closure_edges_are_a_schreier_tree():
+    for e in load_catalog().entries:
+        degree = max(len(g) for g in e.generators)
+        ident = tuple(range(degree))
+        steps = [lambda x, g=g + tuple(range(len(g), degree)): compose_perms(x, g)
+                 for g in e.generators]
+        full = _closure(ident, steps, e.order)
+        assert len(full[0]) == e.order, (e.order, e.index)
+        _check_tree(ident, steps, full)
+        # extended in place one step at a time: the same set, still a tree
+        grown = _closure(ident, [], e.order)
+        for k in range(1, len(steps) + 1):
+            grown = _closure(ident, steps[:k], e.order, grown)
+            _check_tree(ident, steps[:k], grown)
+        assert set(grown[0]) == set(full[0]), (e.order, e.index)
+
+
+def test_generator_picks_are_pinned():
+    """The greedy picks fix the search order of every backtracking search,
+    so their digests change only with a change that means to reorder them."""
+    cat = load_catalog()
+    gens, autgens = hashlib.sha256(), hashlib.sha256()
+    for e in cat.entries:
+        G = cat.group(e.order, e.index)
+        key = (e.order, e.index)
+        gens.update(repr((key, generating_sequence(G))).encode())
+        if key != (16, 14):  # C2^4: 20160 automorphisms
+            autgens.update(repr(
+                (key, [f.image_of for f in automorphism_generators(G)])
+            ).encode())
+    assert gens.hexdigest() == (
+        "62210aa61e1a7b72b3995a147b388c0173f3674a584c16fd84aa4b6c275071b3"
+    )
+    assert autgens.hexdigest() == (
+        "f823920338cf66585ceb662a819fcea06eb9033c74ea827af57f7701c343e4cc"
+    )
+
+
+def _greedy_pick(G):
+    """Ascending elements not in the subgroup the earlier picks generate,
+    closed by plain set saturation. Oracle only."""
+    picks, reached = [], {G.identity}
+    for x in G.elements:
+        if x not in reached:
+            picks.append(x)
+            while True:
+                more = {G.mul[a][g] for a in reached for g in picks} - reached
+                if not more:
+                    break
+                reached |= more
+    return tuple(picks)
+
+
+def test_stored_generating_sequence_is_the_greedy_pick():
+    """Light's test stores its generating set; it must be the sequence
+    generating_sequence would pick afresh."""
+    for e in load_catalog().entries:
+        G = catalog_group(e.order, e.index)
+        for H in (G, center(G).as_group(), derived_subgroup(G).as_group()):
+            assert H._cache["gens"] == _greedy_pick(H), (e.order, e.index)
+
+
 # --- rank, middle length, series, class ---
 
 
@@ -541,6 +613,20 @@ def test_fingerprint_separates():
     assert group_fingerprint(dihedral_group(4)) != group_fingerprint(dicyclic_group(2))
     assert group_fingerprint(cyclic_group(6)) == group_fingerprint(
         direct_product(cyclic_group(2), cyclic_group(3)))
+
+
+def test_fingerprint_reads_the_abelianization_orders():
+    for e in load_catalog().entries:
+        G = catalog_group(e.order, e.index)
+        derived = derived_subgroup(G)
+        quotient, _ = quotient_group(G, derived)
+        assert group_fingerprint(G) == (
+            G.order,
+            tuple(sorted(G.elem_order)),
+            center(G).order,
+            derived.order,
+            tuple(sorted(quotient.elem_order)),
+        ), (e.order, e.index)
 
 
 # --- enumeration order ---
