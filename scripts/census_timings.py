@@ -1,0 +1,82 @@
+"""Time census(n, m) for order pairs, each in a fresh interpreter.
+
+For every pair given on the command line a child process imports xmodkit
+from SRC, runs census(n, m) with no cache directory, and reports the
+counts (raw, classes, families), the seconds the call took and the
+process's peak resident memory (ru_maxrss).  One JSON object keyed "n,m"
+is printed when every pair is done, plus the machine's nproc and Python
+version.  A pair that runs past TIMEOUT_S seconds is stopped and reported
+with "timeout"; one that exceeds MAX_MIB MiB of address space reports the
+child's error.
+
+Run from the repository root:
+
+    python3 scripts/census_timings.py 8,8 8,16 24,24
+    python3 scripts/census_timings.py --src ../other/src 16,8
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TIMEOUT_S = 300
+MAX_MIB = 2048
+
+_CHILD = """
+import json, resource, sys, time
+limit = int(sys.argv[3]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from xmodkit.census import census
+n, m = int(sys.argv[1]), int(sys.argv[2])
+start = time.perf_counter()
+counts = census(n, m).counts()
+seconds = time.perf_counter() - start
+kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"counts": counts, "seconds": round(seconds, 3),
+                  "maxrss_mib": round(kib / 1024, 1)}))
+"""
+
+
+def time_pair(src: Path, n: int, m: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", _CHILD, str(n), str(m), str(MAX_MIB)]
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"timeout": TIMEOUT_S}
+    if done.returncode != 0:
+        lines = done.stderr.strip().splitlines()
+        return {"error": lines[-1] if lines else f"exit {done.returncode}"}
+    return json.loads(done.stdout)
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    n, _, m = text.partition(",")
+    return int(n), int(m)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("pairs", nargs="+", type=parse_pair, metavar="N,M")
+    ap.add_argument("--src", type=Path, default=SRC,
+                    help="directory holding the xmodkit package to time")
+    args = ap.parse_args(argv)
+    out = {"nproc": len(os.sched_getaffinity(0)),
+           "python": platform.python_version()}
+    for n, m in args.pairs:
+        out[f"{n},{m}"] = time_pair(args.src.resolve(), n, m)
+    rows = (f" {json.dumps(k)}: {json.dumps(v)}" for k, v in out.items())
+    print("{\n" + ",\n".join(rows) + "\n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ from .census import (
     CensusResult,
     FamilyReport,
     GroupFamilyReport,
+    RawKeys,
     all_xmods,
     census,
     classify_families,

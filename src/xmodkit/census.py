@@ -1,12 +1,15 @@
 """Census pipeline: enumerate, reduce, and classify crossed modules.
 
-The pipeline runs in three stages.  all_xmods builds every crossed module
+The pipeline runs in three stages.  all_xmods finds every crossed module
 over catalog representatives of a given order pair, reduce_by_isomorphism
 keeps the first representative of each isomorphism class, and
 classify_families partitions the representatives into isoclinism families
 with one invariant report per family.  census composes the stages and can
 persist the finished result as a directory of structured-text files;
 group_census produces the analogous per-order family table for groups.
+
+census asks all_xmods for unbuilt keys (keys_only=True), so make_xmod
+runs only on the class representatives.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from xmodkit import __version__ as ENGINE_VERSION
 
@@ -25,6 +28,7 @@ from .groups import (
     FiniteGroup,
     _extensions,
     _OnDemandTable,
+    _closure,
     all_homs,
     automorphism_generators,
     automorphisms,
@@ -37,7 +41,6 @@ from .groups import (
     group_middle_length,
     group_nilpotency_class,
     group_rank,
-    identity_hom,
     quotient_group,
 )
 from .invariants import (
@@ -147,10 +150,42 @@ class CensusResult:
 # --- stage 1: raw enumeration ---
 
 
+@dataclass(frozen=True)
+class RawKeys:
+    """The raw crossed modules of an order pair as unbuilt keys.
+
+    keys[i] = (G1, G0, d, phi) stands for raw module i of all_xmods:
+    catalog groups G1 and G0, the boundary image table d, and the action
+    as a table phi of indices into automorphisms(G1).  make_xmod has
+    validated none of them; build(i) constructs and validates one.
+    """
+
+    order_pair: tuple[int, int]
+    keys: list
+    catalog_version: str = ""
+    engine_version: str = ENGINE_VERSION
+
+    @property
+    def raw_count(self) -> int:
+        return len(self.keys)
+
+    def build(self, i: int) -> CrossedModule:
+        G1, G0, d, phi = self.keys[i]
+        tables = _aut_tables(G1)
+        return make_xmod(G1, G0, d, tuple(tables[j] for j in phi))
+
+
 def _aut_tables(G: FiniteGroup) -> tuple:
     if "auttables" not in G._cache:
         G._cache["auttables"] = tuple(f.image_of for f in automorphisms(G))
     return G._cache["auttables"]
+
+
+def _aut_index(G: FiniteGroup) -> dict:
+    """Position of each automorphism image table in _aut_tables(G)."""
+    if "autindex" not in G._cache:
+        G._cache["autindex"] = {t: i for i, t in enumerate(_aut_tables(G))}
+    return G._cache["autindex"]
 
 
 def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
@@ -164,8 +199,7 @@ def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
     for a generator g are the automorphisms, in list order, whose order
     divides |g|.
     """
-    tables = _aut_tables(G1)
-    index = {t: i for i, t in enumerate(tables)}
+    tables, index = _aut_tables(G1), _aut_index(G1)
     orders = []
     for t in tables:
         k, power = 1, t
@@ -185,16 +219,16 @@ def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
     return list(_extensions(G0, target, lambda g: fits[G0.elem_order[g]]))
 
 
-def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
+def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images, boundaries) -> list:
     """(action, boundary) image pairs satisfying CM1 and CM2.
 
     phi_images are action homomorphisms G0 -> Aut(G1) given by tables of
-    automorphism indices.  CM1 and CM2 hold everywhere once they hold on
-    generating sequences (both sides extend multiplicatively), and
+    automorphism indices, and boundaries are image tables of homomorphisms
+    G1 -> G0, tried in their order.  CM1 and CM2 hold everywhere once they
+    hold on generating sequences (both sides extend multiplicatively), and
     make_xmod revalidates each survivor in full.
     """
     tables = _aut_tables(G1)
-    boundaries = [h.image_of for h in all_homs(G1, G0)]
     gens1 = generating_sequence(G1)
     gens0 = generating_sequence(G0)
     conj = {a: tuple(G1.conj(a, b) for b in G1.elements) for a in gens1}
@@ -230,33 +264,130 @@ def _stage1_scan(G1: FiniteGroup, G0: FiniteGroup, phi_images) -> list:
     return hits
 
 
+def _key_moves(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
+    """The generators (alpha, 1) and (1, beta) of Aut(G1) x Aut(G0), each
+    as a pair of maps: one on actions, given as tables of indices into
+    automorphisms(G1), and one on boundary image tables,
+
+        phi -> (y -> alpha phi(beta^-1 y) alpha^-1),    d -> beta d alpha^-1.
+
+    Generators are picked greedily from the cached automorphism lists by
+    composing image tables, so no Cayley table of Aut is built.
+    """
+    tables, index = _aut_tables(G1), _aut_index(G1)
+    moves = []
+    for f in automorphism_generators(G1):
+        a, a_inv = f.image_of, f.inverse().image_of
+        conj = _OnDemandTable(  # automorphism j -> alpha auts[j] alpha^-1
+            lambda j, a=a, a_inv=a_inv:
+                index[compose_perms(a, compose_perms(tables[j], a_inv))]
+        )
+        moves.append((lambda phi, conj=conj: tuple(map(conj.__getitem__, phi)),
+                      lambda d, a_inv=a_inv: compose_perms(d, a_inv)))
+    for f in automorphism_generators(G0):
+        b, b_inv = f.image_of, f.inverse().image_of
+        moves.append((lambda phi, b_inv=b_inv: compose_perms(phi, b_inv),
+                      lambda d, b=b: compose_perms(b, d)))
+    return moves
+
+
+def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
+    """Keys (boundary image table, action) of the crossed modules on
+    (G1, G0), in all_xmods order: actions in _action_tables order, and the
+    boundaries of each action in all_homs order.
+
+    The actions fall into orbits of Aut(G1) x Aut(G0), and (alpha, beta)
+    maps the boundaries compatible with phi one to one onto those
+    compatible with (alpha, beta).phi, by d -> beta d alpha^-1.  So each
+    orbit is walked by _closure from its least-index action, boundaries
+    are scanned (_stage1_scan) for that action only, and they are carried
+    along the edges of the walk's Schreier tree to every other member.
+    """
+    actions = _action_tables(G0, G1)
+    boundaries = [h.image_of for h in all_homs(G1, G0)]
+    hom_position = {d: i for i, d in enumerate(boundaries)}
+    moves = _key_moves(G1, G0)
+    steps = [act for act, _ in moves]
+    most = len(_aut_tables(G1)) * len(_aut_tables(G0))  # bounds any orbit
+    unwalked = set(actions)  # orbits are disjoint: a member is unwalked
+    orbits = []
+    for phi in actions:
+        if phi not in unwalked:
+            continue
+        members, _, edges = _closure(phi, steps, most)
+        if not unwalked.issuperset(members):
+            raise CensusError(
+                "an orbit of Aut(G1) x Aut(G0) leaves the action list"
+            )
+        unwalked.difference_update(members)
+        orbits.append((members, edges))
+    scanned: dict = {}
+    roots = [members[0] for members, _ in orbits]
+    for phi, d in _stage1_scan(G1, G0, roots, boundaries):
+        scanned.setdefault(phi, []).append(d)
+    found: dict = {}
+    for members, edges in orbits:
+        carried = [scanned.get(members[0], [])]
+        if not carried[0]:
+            continue
+        for c, j in edges[1:]:
+            carried.append(list(map(moves[j][1], carried[c])))
+        for phi, ds in zip(members, carried):
+            try:
+                found[phi] = sorted(ds, key=hom_position.__getitem__)
+            except KeyError:
+                raise CensusError(
+                    "a transported boundary is not a homomorphism G1 -> G0"
+                ) from None
+    return [(d, phi) for phi in actions for d in found.get(phi, ())]
+
+
+def _catalog_pairs(cat: GroupCatalog, n: int, m: int) -> list[tuple]:
+    """Ordered pairs (G1, G0) of catalog groups of orders n and m."""
+    ents1 = cat.entries_of_order(n)
+    ents0 = cat.entries_of_order(m)
+    if not ents1 or not ents0:
+        raise ValueError(f"catalog does not cover order pair [{n},{m}]")
+    return [
+        (cat.group(e1.order, e1.index), cat.group(e0.order, e0.index))
+        for e1 in ents1 for e0 in ents0
+    ]
+
+
 def all_xmods(
     n: int,
     m: int,
     *,
     catalog: Optional[GroupCatalog] = None,
-) -> CensusResult:
+    keys_only: bool = False,
+) -> Union[CensusResult, RawKeys]:
     """Every crossed module of order [n, m] over catalog representatives.
 
     Iterates ordered pairs of catalog groups in catalog order, action
     homomorphisms G0 -> Aut(G1), and boundary homomorphisms G1 -> G0
     jointly satisfying CM1 and CM2.  The order of the output is
-    deterministic.
+    deterministic.  By default every action is scanned and every module is
+    validated in full by make_xmod.  keys_only=True returns the same raw
+    modules, in the same order, as RawKeys built by _pair_keys (one scan
+    per action orbit) and validates none of them; census() takes that path,
+    and the default one is its oracle.
     """
     cat = catalog if catalog is not None else load_catalog()
-    ents1 = cat.entries_of_order(n)
-    ents0 = cat.entries_of_order(m)
-    if not ents1 or not ents0:
-        raise ValueError(f"catalog does not cover order pair [{n},{m}]")
+    pairs = _catalog_pairs(cat, n, m)
+    if keys_only:
+        return RawKeys(
+            order_pair=(n, m),
+            keys=[(G1, G0, d, phi) for G1, G0 in pairs
+                  for d, phi in _pair_keys(G1, G0)],
+            catalog_version=cat.version,
+        )
     raw = []
-    for e1 in ents1:
-        G1 = cat.group(e1.order, e1.index)
+    for G1, G0 in pairs:
         tables = _aut_tables(G1)
-        for e0 in ents0:
-            G0 = cat.group(e0.order, e0.index)
-            for phi, img in _stage1_scan(G1, G0, _action_tables(G0, G1)):
-                rows = tuple(tables[j] for j in phi)
-                raw.append(make_xmod(G1, G0, img, rows))
+        boundaries = [h.image_of for h in all_homs(G1, G0)]
+        for phi, img in _stage1_scan(G1, G0, _action_tables(G0, G1), boundaries):
+            rows = tuple(tables[j] for j in phi)
+            raw.append(make_xmod(G1, G0, img, rows))
     return CensusResult(
         order_pair=(n, m),
         raw_count=len(raw),
@@ -268,20 +399,21 @@ def all_xmods(
 # --- stage 2: isomorphism reduction ---
 
 
-def _orbit_roots(raw: Sequence[CrossedModule]) -> list[int]:
-    """Lowest raw index of each module's isomorphism class.
+def _orbit_roots(keyed: Sequence[tuple]) -> list[int]:
+    """Lowest index of each raw module's isomorphism class.
 
+    keyed[i] = (G1, G0, d, phi) stands for raw module i, as in RawKeys.
     Modules on different catalog groups are never isomorphic, and modules
-    on one pair (G1, G0) are isomorphic exactly when they share an orbit of
-    Aut(G1) x Aut(G0) acting by
+    on one pair (G1, G0) are isomorphic exactly when they share an orbit
+    of Aut(G1) x Aut(G0) acting by
 
-        (alpha, beta).(d, act) = (beta d alpha^-1,
-                                  (y, b) -> alpha(act[beta^-1 y][alpha^-1 b])).
+        (alpha, beta).(d, phi) = (beta d alpha^-1,
+                                  y -> alpha phi(beta^-1 y) alpha^-1).
 
-    Each module is joined with its image under every generator (alpha, 1)
+    Each key is joined with its image under every generator (alpha, 1)
     and (1, beta) in a union-find whose root is the lowest index.
     """
-    parent = list(range(len(raw)))
+    parent = list(range(len(keyed)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -295,77 +427,89 @@ def _orbit_roots(raw: Sequence[CrossedModule]) -> list[int]:
             parent[max(ri, rj)] = min(ri, rj)
 
     by_pair: dict = {}
-    for i, X in enumerate(raw):
-        by_pair.setdefault((X.g1, X.g0), []).append(i)
+    for i, (G1, G0, d, phi) in enumerate(keyed):
+        index = by_pair.setdefault((G1, G0), {})
+        union(i, index.setdefault((d, phi), i))
     for level in (0, 1):
         groups = list(dict.fromkeys(pair[level] for pair in by_pair))
         for G, H in itertools.combinations(groups, 2):
             if (group_fingerprint(G) == group_fingerprint(H)
                     and first_iso(G, H) is not None):
                 raise CensusError("raw modules lie on distinct isomorphic groups")
-    for (G1, G0), members in by_pair.items():
-        index: dict = {}
-        for i in members:
-            X = raw[i]
-            union(i, index.setdefault((X.boundary.image_of, X.action), i))
-        ident1, ident0 = identity_hom(G1), identity_hom(G0)
-        moves = [(f, ident0) for f in automorphism_generators(G1)]
-        moves += [(ident1, f) for f in automorphism_generators(G0)]
-        for alpha, beta in moves:
-            a, a_inv = alpha.image_of, alpha.inverse().image_of
-            b, b_inv = beta.image_of, beta.inverse().image_of
-            conj: dict = {}  # action row r -> alpha r alpha^-1, formed once
-            for (d, act), i in index.items():
-                for row in act:
-                    if row not in conj:
-                        conj[row] = compose_perms(a, compose_perms(row, a_inv))
-                j = index.get((
-                    compose_perms(b, compose_perms(d, a_inv)),
-                    tuple([conj[act[y]] for y in b_inv]),
-                ))
+    for (G1, G0), index in by_pair.items():
+        for act_move, bound_move in _key_moves(G1, G0):
+            moved: dict = {}  # action -> its image, formed once
+            for (d, phi), i in index.items():
+                if phi not in moved:
+                    moved[phi] = act_move(phi)
+                j = index.get((bound_move(d), moved[phi]))
                 if j is None:
                     raise CensusError(
                         f"raw module {i} maps outside the raw set: the "
                         "enumeration is not closed under Aut(G1) x Aut(G0)"
                     )
                 union(i, j)
-    return [find(i) for i in range(len(raw))]
+    return [find(i) for i in range(len(keyed))]
 
 
-def reduce_by_isomorphism(result: CensusResult, *, slow: bool = False) -> CensusResult:
+def _classes(roots: Sequence[int], build) -> tuple[list, tuple[int, ...]]:
+    """build(i) for each root i, in order, and the class map from raw
+    index to representative index."""
+    reps: list = []
+    rep_of: dict[int, int] = {}
+    class_map: list[int] = []
+    for i, root in enumerate(roots):
+        if root == i:
+            rep_of[i] = len(reps)
+            reps.append(build(i))
+        class_map.append(rep_of[root])
+    return reps, tuple(class_map)
+
+
+def reduce_by_isomorphism(
+    result: Union[CensusResult, RawKeys], *, slow: bool = False
+) -> CensusResult:
     """First representative of each isomorphism class, plus the class map.
 
-    The fast path computes isomorphism classes as orbits of automorphism
-    pairs (_orbit_roots); slow=True compares each module pairwise, with
-    is_isomorphic_xmod and no prefilter, against every prior
-    representative.  Both keep the lowest raw index of each class.
+    result is a raw stage: built modules, or RawKeys, of which only the
+    representatives are built.  The fast path computes isomorphism classes
+    as orbits of automorphism pairs (_orbit_roots) on the keys; slow=True
+    compares each module pairwise, with is_isomorphic_xmod and no
+    prefilter, against every prior representative.  Both keep the lowest
+    raw index of each class.
     """
-    raw = result.representatives
-    reps: list = []
-    class_map: list[int] = []
-    if slow:
-        for X in raw:
-            hit = next(
-                (r for r, Y in enumerate(reps)
-                 if is_isomorphic_xmod(X, Y, slow=True) is not None),
-                None,
-            )
-            if hit is None:
-                hit = len(reps)
-                reps.append(X)
-            class_map.append(hit)
+    if isinstance(result, RawKeys):
+        keyed, build = result.keys, result.build
     else:
-        rep_of: dict[int, int] = {}
-        for i, root in enumerate(_orbit_roots(raw)):
+        raw = result.representatives
+        keyed = [
+            (X.g1, X.g0, X.boundary.image_of,
+             tuple(map(_aut_index(X.g1).__getitem__, X.action)))
+            for X in raw
+        ]
+        build = raw.__getitem__
+    if slow:
+        raw = [build(i) for i in range(len(keyed))]
+        build = raw.__getitem__
+        heads: list[int] = []
+        roots: list[int] = []
+        for i, X in enumerate(raw):
+            root = next(
+                (r for r in heads
+                 if is_isomorphic_xmod(X, raw[r], slow=True) is not None),
+                i,
+            )
             if root == i:
-                rep_of[i] = len(reps)
-                reps.append(raw[i])
-            class_map.append(rep_of[root])
+                heads.append(i)
+            roots.append(root)
+    else:
+        roots = _orbit_roots(keyed)
+    reps, class_map = _classes(roots, build)
     return CensusResult(
         order_pair=result.order_pair,
         raw_count=result.raw_count,
         representatives=reps,
-        class_map=tuple(class_map),
+        class_map=class_map,
         catalog_version=result.catalog_version,
         engine_version=result.engine_version,
     ).validate()
@@ -605,7 +749,9 @@ def census(
         cached = load_census(cache_dir, n, m)
         if cached is not None:
             return cached
-    result = classify_families(reduce_by_isomorphism(all_xmods(n, m)))
+    result = classify_families(
+        reduce_by_isomorphism(all_xmods(n, m, keys_only=True))
+    )
     if cache_dir is not None:
         save_census(result, cache_dir)
     return result

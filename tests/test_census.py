@@ -13,6 +13,10 @@ Frozen expectations:
 """
 
 import collections
+import importlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ from xmodkit.census import (
     CensusError,
     CensusResult,
     _action_tables,
+    _pair_keys,
+    _stage1_scan,
     all_xmods,
     census,
     classify_families,
@@ -56,17 +62,97 @@ def test_census_16_1_counts_the_abelian_groups():
     assert census(16, 1).counts() == (5, 5, 1)
 
 
-def test_action_search_matches_all_homs_into_the_aut_table():
-    # the census's on-demand action search yields exactly all_homs into
-    # the Cayley table of Aut(G1), in order; order 18 reaches |Aut| = 432
+def search_pairs():
+    """Every catalog pair with |G1| <= 12 and |G0| <= 8, and each order-18
+    G1 against C2, where |Aut G1| reaches 432."""
     cat = load_catalog()
     levels1 = [G for n in range(1, 13) for G in cat.groups_of_order(n)]
     levels0 = [G for n in range(1, 9) for G in cat.groups_of_order(n)]
     pairs = [(G1, G0) for G1 in levels1 for G0 in levels0]
-    pairs += [(G1, cat.group(2, 1)) for G1 in cat.groups_of_order(18)]
-    for G1, G0 in pairs:
+    return pairs + [(G1, cat.group(2, 1)) for G1 in cat.groups_of_order(18)]
+
+
+def test_action_search_matches_all_homs_into_the_aut_table():
+    # the census's on-demand action search yields exactly all_homs into
+    # the Cayley table of Aut(G1), in order
+    for G1, G0 in search_pairs():
         expected = [h.image_of for h in all_homs(G0, automorphism_group(G1)[0])]
         assert _action_tables(G0, G1) == expected
+
+
+def test_transported_keys_match_the_full_scan():
+    # boundaries scanned once per action orbit and carried to the other
+    # members are exactly those the scan finds for every action, in order
+    for G1, G0 in search_pairs():
+        boundaries = [h.image_of for h in all_homs(G1, G0)]
+        scan = _stage1_scan(G1, G0, _action_tables(G0, G1), boundaries)
+        assert _pair_keys(G1, G0) == [(d, phi) for phi, d in scan]
+
+
+def test_census_rejects_an_action_list_not_closed_under_automorphisms(
+        monkeypatch):
+    module = importlib.import_module("xmodkit.census")
+    search = module._action_tables
+    monkeypatch.setattr(module, "_action_tables",
+                        lambda G0, G1: search(G0, G1)[:-1])
+    with pytest.raises(CensusError, match="leaves the action list"):
+        census(4, 4)
+
+
+def test_census_rejects_a_boundary_outside_all_homs(monkeypatch):
+    module = importlib.import_module("xmodkit.census")
+    monkeypatch.setattr(module, "all_homs", lambda G, H: all_homs(G, H)[:-1])
+    with pytest.raises(CensusError, match="not a homomorphism"):
+        census(4, 4)
+
+
+def assert_same_census(fast, n, m):
+    slow = classify_families(reduce_by_isomorphism(all_xmods(n, m)))
+    assert fast.raw_count == slow.raw_count
+    assert fast.class_map == slow.class_map
+    assert [serialize_xmod(X) for X in fast.representatives] == [
+        serialize_xmod(X) for X in slow.representatives
+    ]
+    assert fast.families == slow.families
+
+
+@pytest.mark.parametrize("pair", [
+    (2, 2), (4, 4), (8, 4), (9, 9), (12, 12), (20, 20), (2, 16), (16, 2),
+])
+def test_census_matches_the_raw_path(pair):
+    assert_same_census(census(*pair), *pair)
+
+
+def test_census_matches_the_raw_path_8_8(census88):
+    assert_same_census(census88, 8, 8)
+
+
+def _perfbench_run():
+    """perfbench/run.py, whose census_digest (SHA-256 over a census
+    directory without meta) the recorded digests were taken with."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+census_digest = _perfbench_run().census_digest
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "census_digests.json").read_text()
+)
+
+
+def test_census_directories_match_the_recorded_digests(tmp_path, census88):
+    """Digests recorded before the census was rebuilt on action orbits:
+    every [n, m] with n, m <= 12 that then finished in under 0.5 s, and
+    [20,20] and [8,8]."""
+    for key, want in DIGESTS.items():
+        n, m = map(int, key.split(","))
+        result = census88 if (n, m) == (8, 8) else census(n, m)
+        save_census(result, tmp_path)
+        assert list(result.counts()) == want["counts"], key
+        assert census_digest(tmp_path / f"census-{n}-{m}") == want["sha256"], key
 
 
 def test_stage_progression_and_counts_guard():
@@ -145,7 +231,9 @@ def assert_orbit_stabilizer(result):
         assert multiplicity[r] * stabilizer == aut_order[X.g1] * aut_order[X.g0]
 
 
-@pytest.mark.parametrize("pair", [(8, 4), (9, 9), (12, 12), (16, 2)])
+@pytest.mark.parametrize(
+    "pair", [(8, 4), (9, 9), (12, 12), (16, 2), (20, 20), (2, 16)]
+)
 def test_orbit_stabilizer_certificate(pair):
     assert_orbit_stabilizer(census(*pair))
 
