@@ -229,15 +229,20 @@ class Subgroup:
         return self._cache["normal"]
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as its own FiniteGroup; index i maps to members[i]."""
-        if "group" not in self._cache:
+        """The subgroup as its own FiniteGroup; index i maps to members[i].
+
+        Built once per member set of the parent, so every Subgroup object
+        with these members returns the same group."""
+        key = ("subgroup", self.members)
+        cache = self.parent._cache
+        if key not in cache:
             idx = {m: i for i, m in enumerate(self.members)}
             mul = self.parent.mul
             table = tuple(
                 tuple(idx[mul[a][b]] for b in self.members) for a in self.members
             )
-            self._cache["group"] = FiniteGroup._of_table(table)
-        return self._cache["group"]
+            cache[key] = FiniteGroup._of_table(table)
+        return cache[key]
 
     def __eq__(self, other) -> bool:
         return (
@@ -571,36 +576,73 @@ def abelian_group(invariants: Sequence[int]) -> FiniteGroup:
     return group
 
 
-def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
+def subgroup_generated(
+    G: FiniteGroup, seeds: Iterable[int], maps: Sequence[Sequence[int]] = ()
+) -> Subgroup:
+    """The least subgroup holding seeds and mapped into itself by every
+    image table in maps (endomorphisms of G).
+
+    An endomorphism maps a subgroup into itself when it maps a generating
+    set into it, so each generator the greedy walk picks queues its images
+    as further candidates; with automorphisms of G for maps this is the
+    normal closure of Holt-Eick-O'Brien, Handbook of Computational Group
+    Theory, section 3.3."""
     mul = G.mul
+    candidates = list(seeds)
+
+    def step(g: int):
+        candidates.extend(row[g] for row in maps)
+        return mul[g].__getitem__
+
+    # the walk reads candidates as a list, so it reaches the queued images
     _, (members, _, _) = _greedy_generators(
-        seeds, lambda g: mul[g].__getitem__, G.identity, G.order)
+        candidates, step, G.identity, G.order)
     return Subgroup(G, members, check=False)
+
+
+def subgroup_generators(S: Subgroup) -> tuple[int, ...]:
+    """A generating set of S picked greedily by ascending member."""
+    if "gens" not in S._cache:
+        mul = S.parent.mul
+        S._cache["gens"] = tuple(_greedy_generators(
+            S.members, lambda g: mul[g].__getitem__, S.parent.identity,
+            S.order)[0])
+    return S._cache["gens"]
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, G.elements, check=False)
+    """G as a Subgroup of itself; built once per group."""
+    if "full" not in G._cache:
+        G._cache["full"] = Subgroup(G, G.elements, check=False)
+    return G._cache["full"]
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    mul = G.mul
-    members = [
-        z
-        for z in G.elements
-        if all(mul[z][x] == mul[x][z] for x in G.elements)
-    ]
-    return Subgroup(G, members, check=False)
+    """Z(G); computed once per group."""
+    if "center" not in G._cache:
+        mul = G.mul
+        G._cache["center"] = Subgroup(G, (
+            z for z in G.elements
+            if all(mul[z][x] == mul[x][z] for x in G.elements)
+        ), check=False)
+    return G._cache["center"]
 
 
 def relative_commutator_group(
     G: FiniteGroup, left: Iterable[int], right: Iterable[int]
 ) -> Subgroup:
-    """Subgroup generated by commutators [a, b], a in left, b in right."""
-    seeds = {G.commutator(a, b) for a in left for b in right}
-    return subgroup_generated(G, seeds)
+    """Subgroup generated by commutators [a, b], a in left, b in right;
+    computed once per group and pair of element sequences."""
+    left, right = tuple(left), tuple(right)
+    key = ("commutator", left, right)
+    if key not in G._cache:
+        G._cache[key] = subgroup_generated(
+            G, {G.commutator(a, b) for a in left for b in right})
+    return G._cache[key]
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G]; computed once per group."""
     return relative_commutator_group(G, G.elements, G.elements)
 
 
@@ -608,12 +650,17 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup, with the projection homomorphism.
 
     Cosets are indexed in ascending order of their minimal member, so the
-    identity coset is element 0.
+    identity coset is element 0.  Built once per group and member set: a
+    repeat call returns the same quotient and projection objects.  A
+    subgroup that is not normal raises on every call.
     """
     if not isinstance(N, Subgroup):
         N = Subgroup(G, N)
     if N.parent.mul != G.mul:
         raise ValueError("subgroup of a different group")
+    key = ("quotient", N.members)
+    if key in G._cache:
+        return G._cache[key]
     if not N.is_normal():
         raise ValueError("subgroup is not normal")
     mul = G.mul
@@ -632,6 +679,7 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
     )
     quotient = FiniteGroup._of_table(table, check=False)
     proj = GroupHom(G, quotient, coset_of, check=False)
+    G._cache[key] = (quotient, proj)
     return quotient, proj
 
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import Subgroup, center, relative_commutator_group, subgroup_generated
+from .groups import (
+    Subgroup,
+    center,
+    derived_subgroup,
+    full_subgroup,
+    relative_commutator_group,
+    subgroup_generated,
+    subgroup_generators,
+)
 from .values import NOT_NILPOTENT, NOT_SOLVABLE, PairValue
 from .xmods import (
     CrossedModule,
@@ -46,50 +54,67 @@ def center_xmod(X: CrossedModule) -> SubXMod:
     """(fixed points -> stabilizer ∩ Z(G0)), the categorical center."""
     if "center" not in X._cache:
         s0 = stabilizer(X).member_set & center(X.g0).member_set
-        X._cache["center"] = sub_xmod(X, fixed_points(X).members, s0)
+        X._cache["center"] = sub_xmod(
+            X, fixed_points(X), Subgroup(X.g0, s0, check=False))
     return X._cache["center"]
+
+
+def _displacements(
+    X: CrossedModule, acting: Subgroup, *levels: tuple[Subgroup, Subgroup]
+) -> Subgroup:
+    """The subgroup of G1 generated by the displacements ^x a * a^-1,
+    x in s0 and a in s1, over each (s1, s0) of levels.
+
+    It is built from generators: the displacements of generators of s0
+    against generators of s1, closed under the action of acting.  That is
+    the whole subgroup when acting holds s0 and the boundary of s1 and
+    maps the displacements among themselves (s1 stable and s0 normal
+    under acting), since
+        ^xy a a^-1 = ^x(^y a a^-1) (^x a a^-1),
+        ^x(ab) (ab)^-1 = (^x a a^-1) a (^x b b^-1) a^-1,
+    and conjugation by a in G1 is the action of its boundary (CM2): the
+    normal closure of Holt-Eick-O'Brien, Handbook of Computational Group
+    Theory, section 3.3."""
+    mul1, inv1, act = X.g1.mul, X.g1.inv, X.action
+    seeds = [
+        mul1[act[x][a]][inv1[a]]
+        for s1, s0 in levels
+        for x in subgroup_generators(s0)
+        for a in subgroup_generators(s1)
+    ]
+    rows = [act[x] for x in subgroup_generators(acting)]
+    return subgroup_generated(X.g1, seeds, rows)
 
 
 def displacement_subgroup(X: CrossedModule) -> Subgroup:
     """Subgroup of G1 generated by all ^x a * a^-1."""
     if "disp" not in X._cache:
-        mul1, inv1 = X.g1.mul, X.g1.inv
-        seeds = {
-            mul1[row[a]][inv1[a]] for row in X.action for a in X.g1.elements
-        }
-        X._cache["disp"] = subgroup_generated(X.g1, seeds)
+        full0 = full_subgroup(X.g0)
+        X._cache["disp"] = _displacements(X, full0, (full_subgroup(X.g1), full0))
     return X._cache["disp"]
 
 
 def derived_subxmod(X: CrossedModule) -> SubXMod:
     """(displacement subgroup -> [G0, G0])."""
     if "derived" not in X._cache:
-        d0 = relative_commutator_group(X.g0, X.g0.elements, X.g0.elements)
         X._cache["derived"] = sub_xmod(
-            X, displacement_subgroup(X).members, d0.members
-        )
+            X, displacement_subgroup(X), derived_subgroup(X.g0))
     return X._cache["derived"]
 
 
 def relative_commutator(X: CrossedModule, N: SubXMod) -> SubXMod:
-    """The commutator sub-crossed-module [N, X].
+    """The commutator sub-crossed-module [N, X] of a normal N.
 
     Level 1 is generated by displacements of N1 under all of G0 together
-    with displacements of G1 under N0; level 0 is [N0, G0].
+    with displacements of G1 under N0; it is built as the closure, under
+    the action of G0, of the displacements of generators (see
+    _displacements).  Level 0 is [N0, G0], computed once per G0 and N0.
     """
-    mul1, inv1 = X.g1.mul, X.g1.inv
-    seeds = set()
-    for x in X.g0.elements:
-        row = X.action[x]
-        for a in N.s1.members:
-            seeds.add(mul1[row[a]][inv1[a]])
-    for x in N.s0.members:
-        row = X.action[x]
-        for a in X.g1.elements:
-            seeds.add(mul1[row[a]][inv1[a]])
-    level1 = subgroup_generated(X.g1, seeds)
+    full0 = full_subgroup(X.g0)
+    level1 = _displacements(
+        X, full0, (N.s1, full0), (full_subgroup(X.g1), N.s0))
     level0 = relative_commutator_group(X.g0, N.s0.members, X.g0.elements)
-    return sub_xmod(X, level1.members, level0.members)
+    return sub_xmod(X, level1, level0)
 
 
 @dataclass(frozen=True)
@@ -155,15 +180,9 @@ def upper_central_series(X: CrossedModule) -> SeriesRecord:
 
 def _derived_of(X: CrossedModule, S: SubXMod) -> SubXMod:
     """Derived subxmod of a subobject, computed in parent coordinates."""
-    mul1, inv1 = X.g1.mul, X.g1.inv
-    seeds = set()
-    for x in S.s0.members:
-        row = X.action[x]
-        for a in S.s1.members:
-            seeds.add(mul1[row[a]][inv1[a]])
-    level1 = subgroup_generated(X.g1, seeds)
+    level1 = _displacements(X, S.s0, (S.s1, S.s0))
     level0 = relative_commutator_group(X.g0, S.s0.members, S.s0.members)
-    return sub_xmod(X, level1.members, level0.members)
+    return sub_xmod(X, level1, level0)
 
 
 def derived_series(X: CrossedModule) -> SeriesRecord:
@@ -264,11 +283,9 @@ def prop10_checks(X: CrossedModule) -> Prop10Report:
     fix_center = disp_derived = stab_center = None
     if simply:
         fix_center = fixed_points(X).member_set == center(X.g1).member_set
-        derived1 = relative_commutator_group(
-            X.g1, X.g1.elements, X.g1.elements
-        )
         disp_derived = (
-            displacement_subgroup(X).member_set == derived1.member_set
+            displacement_subgroup(X).member_set
+            == derived_subgroup(X.g1).member_set
         )
     if aspher:
         z0 = stabilizer(X).member_set & center(X.g0).member_set

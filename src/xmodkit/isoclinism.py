@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupHom, _closure_map
+from .groups import FiniteGroup, GroupHom, Subgroup, _closure_map, quotient_group
 from .invariants import (
     center_xmod,
     derived_subxmod,
@@ -70,7 +70,6 @@ def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
     b_of = projection.beta.image_of
     n1, n0 = quotient.g1.order, quotient.g0.order
     mul1, inv1, act = X.g1.mul, X.g1.inv, X.action
-    mul0, inv0 = X.g0.mul, X.g0.inv
     c1 = [[None] * n0 for _ in range(n1)]
     for g1 in X.g1.elements:
         q1 = a_of[g1]
@@ -83,31 +82,40 @@ def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
                 raise WellDefinednessError(
                     "c1 depends on the choice of representatives"
                 )
-    c0 = [[None] * n0 for _ in range(n0)]
-    for g0 in X.g0.elements:
-        q0 = b_of[g0]
-        for h0 in X.g0.elements:
-            value = mul0[mul0[g0][h0]][mul0[inv0[g0]][inv0[h0]]]
-            cell = c0[q0][b_of[h0]]
-            if cell is None:
-                c0[q0][b_of[h0]] = value
-            elif cell != value:
-                raise WellDefinednessError(
-                    "c0 depends on the choice of representatives"
-                )
+    c0 = _commutator_cosets(X.g0, center_xmod(X).s0)
     d1, d0 = derived.s1.member_set, derived.s0.member_set
     assert all(v in d1 for row in c1 for v in row)
     assert all(v in d0 for row in c0 for v in row)
     pairing = CommutatorPairing(
-        X,
-        quotient,
-        projection,
-        derived,
-        tuple(tuple(row) for row in c1),
-        tuple(tuple(row) for row in c0),
+        X, quotient, projection, derived, tuple(tuple(row) for row in c1), c0
     )
     X._cache["pairing"] = pairing
     return pairing
+
+
+def _commutator_cosets(G: FiniteGroup, N: Subgroup) -> tuple:
+    """The commutator map on the cosets of a central N, [gN, hN] = [g, h],
+    indexed as quotient_group(G, N) indexes them; every representative
+    pair is evaluated.  Built once per group and member set."""
+    key = ("commutator cosets", N.members)
+    if key not in G._cache:
+        quotient, proj = quotient_group(G, N)
+        b_of, n = proj.image_of, quotient.order
+        mul, inv = G.mul, G.inv
+        table = [[None] * n for _ in range(n)]
+        for g in G.elements:
+            row = table[b_of[g]]
+            for h in G.elements:
+                value = mul[mul[g][h]][mul[inv[g]][inv[h]]]
+                cell = row[b_of[h]]
+                if cell is None:
+                    row[b_of[h]] = value
+                elif cell != value:
+                    raise WellDefinednessError(
+                        "c0 depends on the choice of representatives"
+                    )
+        G._cache[key] = tuple(map(tuple, table))
+    return G._cache[key]
 
 
 @dataclass(eq=False)

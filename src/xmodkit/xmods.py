@@ -28,6 +28,7 @@ from .groups import (
     compose_perms,
     conjugation_row,
     conjugation_table,
+    full_subgroup,
     generating_sequence,
     group_fingerprint,
     identity_hom,
@@ -346,11 +347,7 @@ def sub_xmod(X: CrossedModule, s1, s0) -> SubXMod:
 
 
 def full_subxmod(X: CrossedModule) -> SubXMod:
-    return SubXMod(
-        X,
-        Subgroup(X.g1, X.g1.elements, check=False),
-        Subgroup(X.g0, X.g0.elements, check=False),
-    )
+    return SubXMod(X, full_subgroup(X.g1), full_subgroup(X.g0))
 
 
 def trivial_subxmod(X: CrossedModule) -> SubXMod:

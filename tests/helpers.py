@@ -1,7 +1,12 @@
 """Shared constructions for the test suite."""
 
-from xmodkit.groups import abelian_group, cyclic_group, group_from_generators
-from xmodkit.xmods import make_xmod, module_xmod
+from xmodkit.groups import (
+    abelian_group,
+    cyclic_group,
+    group_from_generators,
+    subgroup_generated,
+)
+from xmodkit.xmods import make_xmod, module_xmod, sub_xmod
 
 
 def inversion_module_c8():
@@ -42,3 +47,52 @@ def xm_16_2_swap():
 
 def relabeled_s3():
     return group_from_generators([(1, 0, 2), (1, 2, 0)])
+
+
+# --- all-pairs definitions, the oracle of the generator-based commutators ---
+
+
+def all_pairs_commutator_group(G, left, right):
+    """The subgroup generated by [a, b] over every a in left, b in right."""
+    return subgroup_generated(
+        G, {G.commutator(a, b) for a in left for b in right})
+
+
+def all_pairs_displacements(X, s1, s0):
+    """The subgroup of G1 generated by ^x a a^-1 over every x in s0, a in s1."""
+    mul1, inv1 = X.g1.mul, X.g1.inv
+    return subgroup_generated(
+        X.g1, {mul1[X.action[x][a]][inv1[a]] for x in s0 for a in s1})
+
+
+def all_pairs_derived_subxmod(X):
+    """(all displacements -> [G0, G0]), every pair evaluated."""
+    g1, g0 = X.g1.elements, X.g0.elements
+    return sub_xmod(
+        X,
+        all_pairs_displacements(X, g1, g0).members,
+        all_pairs_commutator_group(X.g0, g0, g0).members,
+    )
+
+
+def all_pairs_relative_commutator(X, N):
+    """[N, X] from every displacement of N1 under G0 and of G1 under N0,
+    and every commutator of N0 with G0."""
+    g1, g0 = X.g1.elements, X.g0.elements
+    level1 = all_pairs_displacements(X, N.s1.members, g0).members
+    level1 += all_pairs_displacements(X, g1, N.s0.members).members
+    return sub_xmod(
+        X,
+        subgroup_generated(X.g1, level1).members,
+        all_pairs_commutator_group(X.g0, N.s0.members, g0).members,
+    )
+
+
+def all_pairs_derived_of(X, S):
+    """D(S) for a sub-crossed-module S: every displacement of S1 under S0,
+    and every commutator of S0 with itself."""
+    return sub_xmod(
+        X,
+        all_pairs_displacements(X, S.s1.members, S.s0.members).members,
+        all_pairs_commutator_group(X.g0, S.s0.members, S.s0.members).members,
+    )

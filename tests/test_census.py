@@ -209,6 +209,28 @@ def test_member_row_builds_the_lower_central_series_once(monkeypatch):
     assert len(calls) == len(inv.lower_central_series(X).terms) == 4
 
 
+def test_census_builds_each_quotient_once(monkeypatch):
+    """Representatives on the same catalog groups share the quotient by
+    each normal subgroup: one (quotient, projection) per group and members,
+    however many central quotients ask for it."""
+    import xmodkit.xmods as xm
+
+    built = collections.defaultdict(set)
+    calls = []
+    real = xm.quotient_group
+
+    def recording(G, N):
+        result = real(G, N)
+        calls.append(result)  # held, so no id is reused
+        built[id(G), N.members].add((id(result[0]), id(result[1])))
+        return result
+
+    monkeypatch.setattr(xm, "quotient_group", recording)
+    census(12, 12)
+    assert len(calls) > len(built)
+    assert all(len(objects) == 1 for objects in built.values())
+
+
 def test_class_map_is_sound_4_4():
     raw = all_xmods(4, 4)
     reduced = reduce_by_isomorphism(raw)

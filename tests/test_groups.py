@@ -43,7 +43,9 @@ from xmodkit.groups import (
     group_nilpotency_class,
     group_rank,
     identity_hom,
+    conjugation_table,
     quotient_group,
+    relative_commutator_group,
     subgroup_generated,
     symmetric_group,
 )
@@ -210,6 +212,71 @@ def test_quotient_group():
     with pytest.raises(ValueError):
         quotient_group(s3, subgroup_generated(s3, [next(
             g for g in s3.elements if s3.elem_order[g] == 2)]))
+
+
+def test_relative_commutator_group_reads_one_shot_iterables():
+    d8 = catalog_group(8, 3)
+    once = relative_commutator_group(
+        d8, (x for x in d8.elements), (x for x in d8.elements))
+    assert once.order == 2
+    assert once is derived_subgroup(d8)
+
+
+def test_group_level_subgroups_are_built_once():
+    G = symmetric_group(4)
+    assert center(G) is center(G)
+    assert derived_subgroup(G) is derived_subgroup(G)
+    # any Subgroup object with the same members shares one as_group()
+    a4 = derived_subgroup(G)
+    assert Subgroup(G, a4.members).as_group() is a4.as_group()
+
+
+def test_quotient_group_returns_the_same_objects_on_repeat():
+    G = symmetric_group(4)
+    N = derived_subgroup(G)
+    first = quotient_group(G, N)
+    assert all(a is b for a, b in zip(quotient_group(G, N), first))
+    # a member list names the same normal subgroup
+    again = quotient_group(G, list(N.members))
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+def test_quotient_group_raises_on_every_call_for_a_non_normal_subgroup():
+    s3 = symmetric_group(3)
+    flip = next(g for g in s3.elements if s3.elem_order[g] == 2)
+    H = subgroup_generated(s3, [flip])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not normal"):
+            quotient_group(s3, H)
+    with pytest.raises(ValueError, match="not normal"):
+        quotient_group(s3, list(H.members))
+
+
+def test_quotient_cosets_are_indexed_by_ascending_least_member():
+    for G in (symmetric_group(4), dicyclic_group(3), abelian_group([2, 4])):
+        for N in (center(G), derived_subgroup(G)):
+            q, proj = quotient_group(G, N)
+            least = [min(x for x in G.elements if proj(x) == c)
+                     for c in q.elements]
+            assert least == sorted(least)
+            assert proj.kernel_subgroup() == N
+            GroupHom(G, q, proj.image_of)  # a homomorphism, checked in full
+
+
+def test_subgroup_generated_closes_under_maps():
+    """The closure under conjugation rows is the least normal subgroup
+    holding the seeds, found here by adding conjugates until stable."""
+    for G in (dihedral_group(4), symmetric_group(4), dicyclic_group(3)):
+        conj = conjugation_table(G)
+        for seed in G.elements:
+            members = {seed}
+            while True:
+                grown = subgroup_generated(
+                    G, {row[g] for row in conj for g in members}).member_set
+                if grown == members:
+                    break
+                members = grown
+            assert subgroup_generated(G, [seed], conj).member_set == members
 
 
 # --- homomorphism enumeration against brute force ---

@@ -10,14 +10,26 @@ Expected values are hand-derived:
 * the two order-(16, 2) involution modules share all invariants.
 """
 
+import pytest
+
 from helpers import (
+    all_pairs_derived_of,
+    all_pairs_derived_subxmod,
+    all_pairs_relative_commutator,
     inversion_module_c8,
     surjection_xmod_c4_c2,
     xm_16_2_inversion,
     xm_16_2_swap,
 )
 
-from xmodkit.groups import cyclic_group, dihedral_group, symmetric_group
+from xmodkit.catalog import load_catalog
+from xmodkit.census import census
+from xmodkit.groups import (
+    cyclic_group,
+    derived_subgroup,
+    dihedral_group,
+    symmetric_group,
+)
 from xmodkit.invariants import (
     center_xmod,
     derived_length,
@@ -181,3 +193,51 @@ def test_order_16_2_witnesses_share_invariants():
         assert not is_stem_xmod(x)
     # same invariants, different underlying groups
     assert a.g1.mul != b.g1.mul
+
+
+# --- the generator-based commutators against the all-pairs definitions ---
+
+
+def assert_series_match(X, series, step, library_step=None):
+    """series(X) against the terms step(X, previous) gives from X itself
+    until they repeat; library_step, when given, is checked at each term."""
+    oracle = [full_subxmod(X)]
+    while True:
+        nxt = step(X, oracle[-1])
+        if library_step is not None:
+            assert library_step(X, oracle[-1]).members() == nxt.members()
+        if nxt.members() == oracle[-1].members():
+            break
+        oracle.append(nxt)
+    assert [t.members() for t in series(X).terms] == [
+        t.members() for t in oracle]
+
+
+def assert_commutators_match_all_pairs(X):
+    """derived_subxmod, every [gamma_i, X], the lower central series and
+    the derived series against the all-pairs oracle of tests/helpers.py."""
+    assert derived_subxmod(X).members() == all_pairs_derived_subxmod(X).members()
+    assert_series_match(X, lower_central_series, all_pairs_relative_commutator,
+                        relative_commutator)
+    assert_series_match(X, derived_series, all_pairs_derived_of)
+
+
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4), (12, 12), (20, 20)])
+def test_commutators_match_all_pairs_on_census_representatives(pair):
+    for X in census(*pair).representatives:
+        assert_commutators_match_all_pairs(X)
+
+
+def test_commutators_match_all_pairs_on_identity_modules():
+    cat = load_catalog()
+    for order in cat.orders():
+        if order <= 24:
+            for G in cat.groups_of_order(order):
+                assert_commutators_match_all_pairs(identity_xmod(G))
+
+
+def test_center_and_derived_share_the_group_level_subgroups():
+    X = identity_xmod(symmetric_group(3))
+    assert derived_subxmod(X).s0 is derived_subgroup(X.g0)
+    assert derived_subxmod(X).s1 is displacement_subgroup(X)
+    assert center_xmod(X).s1 is fixed_points(X)
