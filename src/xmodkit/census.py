@@ -8,8 +8,8 @@ with one invariant report per family.  census composes the stages and can
 persist the finished result as a directory of structured-text files;
 group_census produces the analogous per-order family table for groups.
 
-census asks all_xmods for unbuilt keys (keys_only=True), so make_xmod
-runs only on the class representatives.
+all_xmods returns the raw modules unbuilt (RawKeys), so make_xmod runs
+only on the class representatives.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from xmodkit import __version__ as ENGINE_VERSION
 
@@ -52,13 +52,7 @@ from .invariants import (
 )
 from .isoclinism import group_family_partition, xmod_family_partition
 from .values import NOT_NILPOTENT, LogValue, PairValue
-from .xmods import (
-    CrossedModule,
-    is_isomorphic_xmod,
-    make_xmod,
-    parse_xmod,
-    serialize_xmod,
-)
+from .xmods import CrossedModule, make_xmod, parse_xmod, serialize_xmod
 
 _META_VERSION = "census v1"
 _FAMILIES_VERSION = "families v1"
@@ -98,11 +92,10 @@ class FamilyReport:
 class CensusResult:
     """Output of the census pipeline, filled in stage by stage.
 
-    The raw stage stores every constructed crossed module in
-    representatives; the reduction stage replaces the list with one
-    representative per isomorphism class and records class_map (raw index
-    to representative index); the family stage adds families and reports.
-    A result loaded from cache has class_map None.
+    The reduction stage holds one built crossed module per isomorphism
+    class in representatives and records class_map (raw index of
+    all_xmods's RawKeys to representative index); the family stage adds
+    families and reports.  A result loaded from cache has class_map None.
     """
 
     order_pair: tuple[int, int]
@@ -116,11 +109,7 @@ class CensusResult:
 
     @property
     def stage(self) -> str:
-        if self.families is not None:
-            return "families"
-        if self.class_map is not None:
-            return "representatives"
-        return "raw"
+        return "families" if self.families is not None else "representatives"
 
     def counts(self) -> tuple[int, int, int]:
         """(raw, isomorphism classes, families) of a finished census."""
@@ -152,12 +141,14 @@ class CensusResult:
 
 @dataclass(frozen=True)
 class RawKeys:
-    """The raw crossed modules of an order pair as unbuilt keys.
+    """The raw stage of the census: every crossed module of an order
+    pair, as an unbuilt key.
 
     keys[i] = (G1, G0, d, phi) stands for raw module i of all_xmods:
     catalog groups G1 and G0, the boundary image table d, and the action
     as a table phi of indices into automorphisms(G1).  make_xmod has
-    validated none of them; build(i) constructs and validates one.
+    validated none of them; build(i) constructs and validates one, and
+    reduce_by_isomorphism builds only the class representatives.
     """
 
     order_pair: tuple[int, int]
@@ -291,6 +282,23 @@ def _key_moves(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
     return moves
 
 
+def _action_orbits(G1: FiniteGroup, G0: FiniteGroup, actions, moves):
+    """The orbits of Aut(G1) x Aut(G0) through actions, in the order of
+    their first member in actions, each as (members, index, edges) of
+    _closure under the action maps of moves (_key_moves) from that member:
+    members[0] is the orbit's root and edges its Schreier tree.  Orbits are
+    disjoint, so an action already walked starts none.
+    """
+    steps = [act for act, _ in moves]
+    most = len(_aut_tables(G1)) * len(_aut_tables(G0))  # bounds any orbit
+    unwalked = set(actions)
+    for phi in actions:
+        if phi in unwalked:
+            orbit = _closure(phi, steps, most)
+            unwalked.difference_update(orbit[0])
+            yield orbit
+
+
 def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
     """Keys (boundary image table, action) of the crossed modules on
     (G1, G0), in all_xmods order: actions in _action_tables order, and the
@@ -299,27 +307,22 @@ def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
     The actions fall into orbits of Aut(G1) x Aut(G0), and (alpha, beta)
     maps the boundaries compatible with phi one to one onto those
     compatible with (alpha, beta).phi, by d -> beta d alpha^-1.  So each
-    orbit is walked by _closure from its least-index action, boundaries
-    are scanned (_stage1_scan) for that action only, and they are carried
-    along the edges of the walk's Schreier tree to every other member.
+    orbit is walked (_action_orbits) from its least-index action,
+    boundaries are scanned (_stage1_scan) for that action only, and they
+    are carried along the edges of the walk's Schreier tree to every other
+    member.
     """
     actions = _action_tables(G0, G1)
     boundaries = [h.image_of for h in all_homs(G1, G0)]
     hom_position = {d: i for i, d in enumerate(boundaries)}
     moves = _key_moves(G1, G0)
-    steps = [act for act, _ in moves]
-    most = len(_aut_tables(G1)) * len(_aut_tables(G0))  # bounds any orbit
-    unwalked = set(actions)  # orbits are disjoint: a member is unwalked
+    listed = set(actions)
     orbits = []
-    for phi in actions:
-        if phi not in unwalked:
-            continue
-        members, _, edges = _closure(phi, steps, most)
-        if not unwalked.issuperset(members):
+    for members, _, edges in _action_orbits(G1, G0, actions, moves):
+        if not listed.issuperset(members):
             raise CensusError(
                 "an orbit of Aut(G1) x Aut(G0) leaves the action list"
             )
-        unwalked.difference_update(members)
         orbits.append((members, edges))
     scanned: dict = {}
     roots = [members[0] for members, _ in orbits]
@@ -355,163 +358,140 @@ def _catalog_pairs(cat: GroupCatalog, n: int, m: int) -> list[tuple]:
 
 
 def all_xmods(
-    n: int,
-    m: int,
-    *,
-    catalog: Optional[GroupCatalog] = None,
-    keys_only: bool = False,
-) -> Union[CensusResult, RawKeys]:
+    n: int, m: int, *, catalog: Optional[GroupCatalog] = None
+) -> RawKeys:
     """Every crossed module of order [n, m] over catalog representatives.
 
     Iterates ordered pairs of catalog groups in catalog order, action
     homomorphisms G0 -> Aut(G1), and boundary homomorphisms G1 -> G0
-    jointly satisfying CM1 and CM2.  The order of the output is
-    deterministic.  By default every action is scanned and every module is
-    validated in full by make_xmod.  keys_only=True returns the same raw
-    modules, in the same order, as RawKeys built by _pair_keys (one scan
-    per action orbit) and validates none of them; census() takes that path,
-    and the default one is its oracle.
+    jointly satisfying CM1 and CM2, found by _pair_keys with one boundary
+    scan per action orbit.  The order of the output is deterministic.  The
+    modules are returned unbuilt, as RawKeys; reduce_by_isomorphism builds
+    and validates the class representatives.
     """
     cat = catalog if catalog is not None else load_catalog()
-    pairs = _catalog_pairs(cat, n, m)
-    if keys_only:
-        return RawKeys(
-            order_pair=(n, m),
-            keys=[(G1, G0, d, phi) for G1, G0 in pairs
-                  for d, phi in _pair_keys(G1, G0)],
-            catalog_version=cat.version,
-        )
-    raw = []
-    for G1, G0 in pairs:
-        tables = _aut_tables(G1)
-        boundaries = [h.image_of for h in all_homs(G1, G0)]
-        for phi, img in _stage1_scan(G1, G0, _action_tables(G0, G1), boundaries):
-            rows = tuple(tables[j] for j in phi)
-            raw.append(make_xmod(G1, G0, img, rows))
-    return CensusResult(
+    return RawKeys(
         order_pair=(n, m),
-        raw_count=len(raw),
-        representatives=raw,
+        keys=[(G1, G0, d, phi) for G1, G0 in _catalog_pairs(cat, n, m)
+              for d, phi in _pair_keys(G1, G0)],
         catalog_version=cat.version,
-    ).validate()
+    )
 
 
 # --- stage 2: isomorphism reduction ---
 
 
-def _orbit_roots(keyed: Sequence[tuple]) -> list[int]:
-    """Lowest index of each raw module's isomorphism class.
+def _not_closed(i: int) -> CensusError:
+    return CensusError(
+        f"raw module {i} maps outside the raw set: the enumeration is not "
+        "closed under Aut(G1) x Aut(G0)"
+    )
 
-    keyed[i] = (G1, G0, d, phi) stands for raw module i, as in RawKeys.
-    Modules on different catalog groups are never isomorphic, and modules
-    on one pair (G1, G0) are isomorphic exactly when they share an orbit
-    of Aut(G1) x Aut(G0) acting by
+
+def _pair_classes(G1: FiniteGroup, G0: FiniteGroup, by_action: dict,
+                  keys: list, labels: list) -> None:
+    """Set labels[i] to the same raw index for the raw modules keys[i] on
+    (G1, G0) that are isomorphic, and to different ones otherwise.
+
+    by_action maps each action of those modules to {boundary: raw index}.
+    Modules on one pair are isomorphic exactly when they share an orbit of
+    Aut(G1) x Aut(G0) acting by
 
         (alpha, beta).(d, phi) = (beta d alpha^-1,
                                   y -> alpha phi(beta^-1 y) alpha^-1).
 
-    Each key is joined with its image under every generator (alpha, 1)
-    and (1, beta) in a union-find whose root is the lowest index.
+    Each action orbit is walked as in the enumeration (_action_orbits),
+    and the root action's modules are carried along the tree edges: the
+    tree path g_t to member t maps the module at root position p to
+    carried[t][p].  A non-tree edge j from member c to member t gives the
+    Schreier generator g_t^-1 gen_j g_c of the root's stabilizer, which
+    maps p to the position of gen_j carried[c][p] at t; these generate the
+    stabilizer (Schreier's lemma).  The orbits of those permutations of
+    the root positions, walked by _closure, are the stabilizer's orbits on
+    the root's modules, and each, carried to every member, is one class.
     """
-    parent = list(range(len(keyed)))
+    moves = _key_moves(G1, G0)
+    for members, index, edges in _action_orbits(G1, G0, by_action, moves):
+        at = [by_action.get(phi, {}) for phi in members]
+        carried = [list(at[0].values())]  # raw indices by root position
+        for t, (c, j) in enumerate(edges[1:], 1):
+            carried.append([at[t].get(moves[j][1](keys[i][2]))
+                            for i in carried[c]])
+            if None in carried[t]:
+                raise _not_closed(carried[c][carried[t].index(None)])
+            if len(at[t]) != len(carried[t]):
+                raise _not_closed(min(set(at[t].values()) - set(carried[t])))
+        for row in carried:
+            for p, i in enumerate(row):
+                labels[i] = p  # the position, until the classes are known
+        schreier = set()  # the stabilizer's generators, on root positions
+        for c, phi in enumerate(members):
+            for j, (act_move, bound_move) in enumerate(moves):
+                t = index[act_move(phi)]
+                if edges[t] != (c, j):
+                    moved = [at[t].get(bound_move(keys[i][2]))
+                             for i in carried[c]]
+                    if None in moved:
+                        raise _not_closed(carried[c][moved.index(None)])
+                    schreier.add(tuple(labels[i] for i in moved))
+        steps = [s.__getitem__ for s in schreier]
+        label = [None] * len(carried[0])
+        for p, i in enumerate(carried[0]):
+            if label[p] is None:
+                for q in _closure(p, steps, len(label))[0]:
+                    label[q] = i
+        for row in carried:
+            for p, i in enumerate(row):
+                labels[i] = label[p]
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+def _classes(labels: Sequence, build) -> tuple[list, tuple[int, ...]]:
+    """build(i) for the first raw index i of each class label, in order,
+    and the class map from raw index to representative index."""
+    reps: list = []
+    rep_of: dict = {}
+    class_map: list[int] = []
+    for i, label in enumerate(labels):
+        if label not in rep_of:
+            rep_of[label] = len(reps)
+            reps.append(build(i))
+        class_map.append(rep_of[label])
+    return reps, tuple(class_map)
 
-    by_pair: dict = {}
-    for i, (G1, G0, d, phi) in enumerate(keyed):
-        index = by_pair.setdefault((G1, G0), {})
-        union(i, index.setdefault((d, phi), i))
+
+def reduce_by_isomorphism(raw: RawKeys) -> CensusResult:
+    """First representative of each isomorphism class, plus the class map.
+
+    raw is the RawKeys of all_xmods.  Modules on different catalog groups
+    are never isomorphic, and those on one pair of groups fall into
+    classes by _pair_classes.  Each class keeps its lowest raw index, and
+    make_xmod builds and validates only those representatives.
+    """
+    if not isinstance(raw, RawKeys):
+        raise TypeError("reduce_by_isomorphism takes the RawKeys of all_xmods")
+    by_pair: dict = {}  # (G1, G0) -> action -> boundary -> raw index
+    for i, (G1, G0, d, phi) in enumerate(raw.keys):
+        at = by_pair.setdefault((G1, G0), {}).setdefault(phi, {})
+        if d in at:
+            raise CensusError(f"raw module {i} repeats raw module {at[d]}")
+        at[d] = i
     for level in (0, 1):
         groups = list(dict.fromkeys(pair[level] for pair in by_pair))
         for G, H in itertools.combinations(groups, 2):
             if (group_fingerprint(G) == group_fingerprint(H)
                     and first_iso(G, H) is not None):
                 raise CensusError("raw modules lie on distinct isomorphic groups")
-    for (G1, G0), index in by_pair.items():
-        for act_move, bound_move in _key_moves(G1, G0):
-            moved: dict = {}  # action -> its image, formed once
-            for (d, phi), i in index.items():
-                if phi not in moved:
-                    moved[phi] = act_move(phi)
-                j = index.get((bound_move(d), moved[phi]))
-                if j is None:
-                    raise CensusError(
-                        f"raw module {i} maps outside the raw set: the "
-                        "enumeration is not closed under Aut(G1) x Aut(G0)"
-                    )
-                union(i, j)
-    return [find(i) for i in range(len(keyed))]
-
-
-def _classes(roots: Sequence[int], build) -> tuple[list, tuple[int, ...]]:
-    """build(i) for each root i, in order, and the class map from raw
-    index to representative index."""
-    reps: list = []
-    rep_of: dict[int, int] = {}
-    class_map: list[int] = []
-    for i, root in enumerate(roots):
-        if root == i:
-            rep_of[i] = len(reps)
-            reps.append(build(i))
-        class_map.append(rep_of[root])
-    return reps, tuple(class_map)
-
-
-def reduce_by_isomorphism(
-    result: Union[CensusResult, RawKeys], *, slow: bool = False
-) -> CensusResult:
-    """First representative of each isomorphism class, plus the class map.
-
-    result is a raw stage: built modules, or RawKeys, of which only the
-    representatives are built.  The fast path computes isomorphism classes
-    as orbits of automorphism pairs (_orbit_roots) on the keys; slow=True
-    compares each module pairwise, with is_isomorphic_xmod and no
-    prefilter, against every prior representative.  Both keep the lowest
-    raw index of each class.
-    """
-    if isinstance(result, RawKeys):
-        keyed, build = result.keys, result.build
-    else:
-        raw = result.representatives
-        keyed = [
-            (X.g1, X.g0, X.boundary.image_of,
-             tuple(map(_aut_index(X.g1).__getitem__, X.action)))
-            for X in raw
-        ]
-        build = raw.__getitem__
-    if slow:
-        raw = [build(i) for i in range(len(keyed))]
-        build = raw.__getitem__
-        heads: list[int] = []
-        roots: list[int] = []
-        for i, X in enumerate(raw):
-            root = next(
-                (r for r in heads
-                 if is_isomorphic_xmod(X, raw[r], slow=True) is not None),
-                i,
-            )
-            if root == i:
-                heads.append(i)
-            roots.append(root)
-    else:
-        roots = _orbit_roots(keyed)
-    reps, class_map = _classes(roots, build)
+    labels: list = [None] * raw.raw_count
+    for pair in list(by_pair):  # each pair's index is freed once used
+        _pair_classes(*pair, by_pair.pop(pair), raw.keys, labels)
+    reps, class_map = _classes(labels, raw.build)
     return CensusResult(
-        order_pair=result.order_pair,
-        raw_count=result.raw_count,
+        order_pair=raw.order_pair,
+        raw_count=raw.raw_count,
         representatives=reps,
         class_map=class_map,
-        catalog_version=result.catalog_version,
-        engine_version=result.engine_version,
+        catalog_version=raw.catalog_version,
+        engine_version=raw.engine_version,
     ).validate()
 
 
@@ -551,7 +531,7 @@ def _family_report(index: int, members: Sequence[int], reps) -> FamilyReport:
 
 def classify_families(result: CensusResult) -> CensusResult:
     """Partition representatives into isoclinism families and report each."""
-    if result.class_map is None:
+    if not isinstance(result, CensusResult) or result.class_map is None:
         raise ValueError("classify_families needs the representatives stage")
     reps = result.representatives
     families = [tuple(f) for f in xmod_family_partition(reps)]
@@ -675,7 +655,8 @@ def _parse_report_records(text: str, families) -> list[FamilyReport]:
 
 def save_census(result: CensusResult, cache_dir) -> Path:
     """Persist a finished census as a directory, replacing any stale copy."""
-    if result.families is None or result.reports is None:
+    if (not isinstance(result, CensusResult) or result.families is None
+            or result.reports is None):
         raise ValueError("only a finished census persists")
     n, m = result.order_pair
     final = _census_dir(cache_dir, n, m)
@@ -750,7 +731,7 @@ def census(
         if cached is not None:
             return cached
     result = classify_families(
-        reduce_by_isomorphism(all_xmods(n, m, keys_only=True))
+        reduce_by_isomorphism(all_xmods(n, m))
     )
     if cache_dir is not None:
         save_census(result, cache_dir)

@@ -393,9 +393,7 @@ def class_preserving_derivations(
     return Subgroup(w.carrier, members)
 
 
-def class_preserving_auts(
-    X: CrossedModule, *, cap: int = DERIVATION_CAP
-) -> Subgroup:
+def class_preserving_auts(X: CrossedModule) -> Subgroup:
     """Action/conjugation pairs inside Aut(X); axioms re-verified."""
     auts, morphisms = xmod_automorphism_group(X)
     aut_of = _aut_index(morphisms)
@@ -420,7 +418,7 @@ def class_preserving_actor(
     """
     act_x = actor(X, cap=cap)
     dc = class_preserving_derivations(X, cap=cap)
-    ac = class_preserving_auts(X, cap=cap)
+    ac = class_preserving_auts(X)
     der_of = {d.image_of: k for k, d in enumerate(act_x.derivations)}
     witnesses = {k: [] for k in dc.members}
     for g1 in X.g1.elements:

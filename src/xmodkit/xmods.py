@@ -328,12 +328,22 @@ class SubXMod:
         return f"SubXMod(order={list(self.order)})"
 
 
+def _level_subgroup(G: FiniteGroup, s) -> Subgroup:
+    """s as a Subgroup of G: a member set, or a Subgroup of G itself or of
+    a group with an equal table, whose members are then checked again."""
+    if isinstance(s, Subgroup):
+        if s.parent is G:
+            return s
+        if s.parent.mul != G.mul:
+            raise ValueError("subgroup of a different group")
+        s = s.members
+    return Subgroup(G, s)
+
+
 def sub_xmod(X: CrossedModule, s1, s0) -> SubXMod:
-    """Validated sub-crossed-module from levelwise member sets."""
-    if not isinstance(s1, Subgroup) or s1.parent is not X.g1:
-        s1 = Subgroup(X.g1, s1)
-    if not isinstance(s0, Subgroup) or s0.parent is not X.g0:
-        s0 = Subgroup(X.g0, s0)
+    """Validated sub-crossed-module from levelwise member sets or
+    subgroups."""
+    s1, s0 = _level_subgroup(X.g1, s1), _level_subgroup(X.g0, s0)
     for a in s1.members:
         if X.boundary(a) not in s0.member_set:
             raise ValueError(f"boundary image of {a} leaves the level-0 part")

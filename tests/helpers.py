@@ -1,12 +1,29 @@
-"""Shared constructions for the test suite."""
+"""Shared constructions for the test suite, and the oracles of the census."""
 
+import itertools
+
+from xmodkit.catalog import load_catalog
+from xmodkit.census import (
+    CensusError,
+    CensusResult,
+    _action_tables,
+    _aut_index,
+    _aut_tables,
+    _catalog_pairs,
+    _classes,
+    _key_moves,
+    _stage1_scan,
+)
 from xmodkit.groups import (
     abelian_group,
+    all_homs,
     cyclic_group,
+    first_iso,
+    group_fingerprint,
     group_from_generators,
     subgroup_generated,
 )
-from xmodkit.xmods import make_xmod, module_xmod, sub_xmod
+from xmodkit.xmods import is_isomorphic_xmod, make_xmod, module_xmod, sub_xmod
 
 
 def inversion_module_c8():
@@ -96,3 +113,107 @@ def all_pairs_derived_of(X, S):
         all_pairs_displacements(X, S.s1.members, S.s0.members).members,
         all_pairs_commutator_group(X.g0, S.s0.members, S.s0.members).members,
     )
+
+
+# --- census oracles: the raw path, module by module ---
+
+
+def raw_modules(n, m, catalog=None):
+    """Every raw module of all_xmods(n, m), in its order, by the full scan:
+    _stage1_scan over every action of _action_tables, and make_xmod on
+    each module found."""
+    cat = catalog if catalog is not None else load_catalog()
+    raw = []
+    for G1, G0 in _catalog_pairs(cat, n, m):
+        tables = _aut_tables(G1)
+        boundaries = [h.image_of for h in all_homs(G1, G0)]
+        for phi, d in _stage1_scan(G1, G0, _action_tables(G0, G1), boundaries):
+            raw.append(make_xmod(G1, G0, d, tuple(tables[j] for j in phi)))
+    return raw
+
+
+def module_keys(raw):
+    """The key (G1, G0, d, phi) of each built module, as in RawKeys."""
+    return [
+        (X.g1, X.g0, X.boundary.image_of,
+         tuple(map(_aut_index(X.g1).__getitem__, X.action)))
+        for X in raw
+    ]
+
+
+def union_find_roots(keyed):
+    """Lowest index of each raw module's isomorphism class.
+
+    keyed[i] = (G1, G0, d, phi) stands for raw module i, as in RawKeys.
+    Modules on different catalog groups are never isomorphic, and modules
+    on one pair (G1, G0) are isomorphic exactly when they share an orbit
+    of Aut(G1) x Aut(G0) acting by
+
+        (alpha, beta).(d, phi) = (beta d alpha^-1,
+                                  y -> alpha phi(beta^-1 y) alpha^-1).
+
+    Each key is joined with its image under every generator (alpha, 1)
+    and (1, beta) in a union-find over all keys whose root is the lowest
+    index.
+    """
+    parent = list(range(len(keyed)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    by_pair = {}
+    for i, (G1, G0, d, phi) in enumerate(keyed):
+        index = by_pair.setdefault((G1, G0), {})
+        union(i, index.setdefault((d, phi), i))
+    for level in (0, 1):
+        groups = list(dict.fromkeys(pair[level] for pair in by_pair))
+        for G, H in itertools.combinations(groups, 2):
+            if (group_fingerprint(G) == group_fingerprint(H)
+                    and first_iso(G, H) is not None):
+                raise CensusError("raw modules lie on distinct isomorphic groups")
+    for (G1, G0), index in by_pair.items():
+        for act_move, bound_move in _key_moves(G1, G0):
+            moved = {}  # action -> its image, formed once
+            for (d, phi), i in index.items():
+                if phi not in moved:
+                    moved[phi] = act_move(phi)
+                j = index.get((bound_move(d), moved[phi]))
+                if j is None:
+                    raise CensusError(
+                        f"raw module {i} maps outside the raw set: the "
+                        "enumeration is not closed under Aut(G1) x Aut(G0)"
+                    )
+                union(i, j)
+    return [find(i) for i in range(len(keyed))]
+
+
+def pairwise_roots(raw):
+    """Lowest index of each built module's isomorphism class, comparing it
+    pairwise, with is_isomorphic_xmod and no prefilter, against the root
+    of every class found before it."""
+    heads, roots = [], []
+    for i, X in enumerate(raw):
+        root = next(
+            (r for r in heads
+             if is_isomorphic_xmod(X, raw[r], slow=True) is not None),
+            i,
+        )
+        if root == i:
+            heads.append(i)
+        roots.append(root)
+    return roots
+
+
+def reduce_with(roots, raw, order_pair):
+    """The representatives stage of built raw modules, given class roots."""
+    reps, class_map = _classes(roots, raw.__getitem__)
+    return CensusResult(order_pair=order_pair, raw_count=len(raw),
+                        representatives=reps, class_map=class_map).validate()

@@ -28,6 +28,7 @@ import collections
 import itertools
 import time
 
+from helpers import pairwise_roots, raw_modules, reduce_with
 from xmodkit.catalog import catalog_group
 from xmodkit.census import all_xmods, census, group_census, reduce_by_isomorphism
 from xmodkit.derivations import (
@@ -452,9 +453,9 @@ def test_criterion_7_property_suite(census44, census88):
 
 def test_criterion_8_fast_and_slow_paths_agree():
     start = time.perf_counter()
-    raw = all_xmods(4, 4)
-    fast = reduce_by_isomorphism(raw)
-    slow = reduce_by_isomorphism(raw, slow=True)
+    fast = reduce_by_isomorphism(all_xmods(4, 4))
+    raw = raw_modules(4, 4)
+    slow = reduce_with(pairwise_roots(raw), raw, (4, 4))
     assert fast.class_map == slow.class_map
     assert len(fast.representatives) == len(slow.representatives)
 

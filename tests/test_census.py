@@ -20,11 +20,20 @@ from pathlib import Path
 
 import pytest
 
-from helpers import inversion_module_c8, relabeled_s3
+from helpers import (
+    inversion_module_c8,
+    module_keys,
+    pairwise_roots,
+    raw_modules,
+    reduce_with,
+    relabeled_s3,
+    union_find_roots,
+)
 from xmodkit.catalog import GroupCatalog, load_catalog
 from xmodkit.census import (
     CensusError,
     CensusResult,
+    RawKeys,
     _action_tables,
     _pair_keys,
     _stage1_scan,
@@ -107,7 +116,11 @@ def test_census_rejects_a_boundary_outside_all_homs(monkeypatch):
 
 
 def assert_same_census(fast, n, m):
-    slow = classify_families(reduce_by_isomorphism(all_xmods(n, m)))
+    # the oracle shares no orbit code with the census: every action
+    # scanned, every module built, classes by the key-level union-find
+    raw = raw_modules(n, m)
+    slow = classify_families(
+        reduce_with(union_find_roots(module_keys(raw)), raw, (n, m)))
     assert fast.raw_count == slow.raw_count
     assert fast.class_map == slow.class_map
     assert [serialize_xmod(X) for X in fast.representatives] == [
@@ -158,11 +171,11 @@ def test_census_directories_match_the_recorded_digests(tmp_path, census88):
 def test_stage_progression_and_counts_guard():
     # [2,2]: zero and identity boundary over trivial action, one abelian family
     raw = all_xmods(2, 2)
-    assert raw.stage == "raw"
-    with pytest.raises(ValueError):
-        raw.counts()
+    assert isinstance(raw, RawKeys) and raw.raw_count == 2
     reduced = reduce_by_isomorphism(raw)
     assert reduced.stage == "representatives"
+    with pytest.raises(ValueError):
+        reduced.counts()
     finished = classify_families(reduced)
     assert finished.stage == "families"
     assert finished.counts() == (2, 2, 1)
@@ -236,7 +249,7 @@ def test_class_map_is_sound_4_4():
     reduced = reduce_by_isomorphism(raw)
     for i in range(0, raw.raw_count, 7):
         rep = reduced.representatives[reduced.class_map[i]]
-        assert is_isomorphic_xmod(raw.representatives[i], rep, slow=True)
+        assert is_isomorphic_xmod(raw.build(i), rep, slow=True)
 
 
 def assert_orbit_stabilizer(result):
@@ -268,30 +281,60 @@ def test_orbit_stabilizer_certificate_18_18(census1818):
     assert_orbit_stabilizer(census1818)
 
 
+def without_key(raw, i):
+    return RawKeys(order_pair=raw.order_pair,
+                   keys=raw.keys[:i] + raw.keys[i + 1:])
+
+
 def test_reduction_rejects_raw_set_not_closed_under_automorphisms():
     raw = all_xmods(4, 4)
     reduced = reduce_by_isomorphism(raw)
     # a module that is not its class's representative has a nontrivial orbit
-    i = next(
-        i for i, r in enumerate(reduced.class_map)
-        if reduced.representatives[r] is not raw.representatives[i]
-    )
-    kept = raw.representatives[:i] + raw.representatives[i + 1:]
-    damaged = CensusResult(order_pair=(4, 4), raw_count=len(kept),
-                           representatives=kept)
+    i = next(i for i, r in enumerate(reduced.class_map)
+             if r in reduced.class_map[:i])
     with pytest.raises(CensusError, match="not closed"):
-        reduce_by_isomorphism(damaged)
+        reduce_by_isomorphism(without_key(raw, i))
+
+
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4)])
+def test_reduction_rejects_every_dropped_key_of_a_larger_class(pair):
+    # dropping a key leaves the raw set closed exactly when the key's
+    # class, by the key-level union-find, is that key alone
+    raw = all_xmods(*pair)
+    roots = union_find_roots(raw.keys)
+    class_size = collections.Counter(roots)
+    for i, root in enumerate(roots):
+        if class_size[root] > 1:
+            with pytest.raises(CensusError, match="not closed"):
+                reduce_by_isomorphism(without_key(raw, i))
+        else:
+            kept = reduce_by_isomorphism(without_key(raw, i))
+            assert kept.raw_count == raw.raw_count - 1
+
+
+def test_reduction_takes_only_raw_keys():
+    built = CensusResult(order_pair=(4, 4), raw_count=60,
+                         representatives=raw_modules(4, 4))
+    with pytest.raises(TypeError):
+        reduce_by_isomorphism(built)
+
+
+def test_reduction_rejects_a_repeated_key():
+    raw = all_xmods(2, 2)
+    repeated = RawKeys(order_pair=(2, 2), keys=raw.keys + raw.keys[:1])
+    with pytest.raises(CensusError, match="repeats raw module 0"):
+        reduce_by_isomorphism(repeated)
 
 
 def test_reduction_rejects_isomorphic_distinct_groups():
     # orbits of Aut(G1) x Aut(G0) never join modules on different tables
     s3, t3 = symmetric_group(3), relabeled_s3()
     assert s3.mul != t3.mul
-    raw = CensusResult(order_pair=(6, 6), raw_count=2,
-                       representatives=[identity_xmod(s3), identity_xmod(t3)])
+    built = [identity_xmod(s3), identity_xmod(t3)]
+    raw = RawKeys(order_pair=(6, 6), keys=module_keys(built))
     with pytest.raises(CensusError, match="isomorphic groups"):
         reduce_by_isomorphism(raw)
-    assert reduce_by_isomorphism(raw, slow=True).class_map == (0, 0)
+    assert pairwise_roots(built) == [0, 0]
 
 
 def test_raw_count_survives_catalog_permutation():

@@ -12,6 +12,7 @@ from xmodkit.groups import (
     compose_perms,
     cyclic_group,
     derived_subgroup,
+    full_subgroup,
     generating_sequence,
     group_from_generators,
     identity_hom,
@@ -468,3 +469,16 @@ def test_round_trip_various():
         text = serialize_xmod(x)
         assert parse_xmod(text) == x
         assert serialize_xmod(parse_xmod(text)) == text
+
+
+def test_sub_xmod_takes_subgroups_of_an_equal_group():
+    x, y = inversion_module_c8(), inversion_module_c8()
+    assert x.g1 is not y.g1 and x.g1.mul == y.g1.mul
+    s = sub_xmod(x, full_subgroup(y.g1), full_subgroup(y.g0))
+    assert s.s1.parent is x.g1 and s.s0.parent is x.g0
+    assert s.is_full()
+    with pytest.raises(ValueError, match="not closed"):  # checked again
+        sub_xmod(x, Subgroup(y.g1, (0, 1), check=False), (0,))
+    c2 = cyclic_group(2)
+    with pytest.raises(ValueError, match="different group"):
+        sub_xmod(x, full_subgroup(symmetric_group(3)), full_subgroup(c2))
