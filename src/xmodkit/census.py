@@ -37,10 +37,6 @@ from .groups import (
     first_iso,
     generating_sequence,
     group_fingerprint,
-    group_lower_central_series,
-    group_middle_length,
-    group_nilpotency_class,
-    group_rank,
     quotient_group,
 )
 from .invariants import (
@@ -52,7 +48,13 @@ from .invariants import (
 )
 from .isoclinism import group_family_partition, xmod_family_partition
 from .values import NOT_NILPOTENT, LogValue, PairValue
-from .xmods import CrossedModule, make_xmod, parse_xmod, serialize_xmod
+from .xmods import (
+    CrossedModule,
+    identity_xmod,
+    make_xmod,
+    parse_xmod,
+    serialize_xmod,
+)
 
 _META_VERSION = "census v1"
 _FAMILIES_VERSION = "families v1"
@@ -764,14 +766,17 @@ def _identify_text(cat: GroupCatalog, G: FiniteGroup) -> str:
 
 
 def _group_row(cat: GroupCatalog, G: FiniteGroup) -> tuple:
+    """The invariants of G at level 1 of its identity module (G -> G), whose
+    center, derived subgroup and lower central terms are those of G."""
+    X = identity_xmod(G)
     quotient, _ = quotient_group(G, center(G))
-    terms = group_lower_central_series(G)[1:]
+    terms = [t.s1 for t in lower_central_series(X).terms[1:]]
     if terms and terms[-1].order == 1:
         terms = terms[:-1]
     return (
-        group_rank(G),
-        group_middle_length(G),
-        group_nilpotency_class(G),
+        LogValue(rank_of_xmod(X).level1_order),
+        LogValue(middle_length_of_xmod(X).level1_order),
+        nilpotency_class(X),
         _identify_text(cat, quotient),
         tuple(_identify_text(cat, t.as_group()) for t in terms),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .groups import (
+    AUT_TABLE_CAP,
     CapExceededError,
     FiniteGroup,
     GroupHom,
@@ -156,7 +157,7 @@ class DerivationMonoid:
         return len(self.elements)
 
 
-def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
+def all_derivations(X: CrossedModule):
     """Every derivation, as a DerivationMonoid; element 0 is the zero
     derivation and the rest follow in ascending table order.
 
@@ -167,12 +168,16 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
     that is b * ^g b * ... * ^(g^(k-1)) b = 1.  A derivation is fixed by
     its values on the generators of g0, and so is the circle-product
     table: column d2 is read off those values of d1 o d2 for every d1.
+
+    CapExceededError is raised for a level larger than DERIVATION_CAP,
+    and by the search once it finds more than AUT_TABLE_CAP derivations,
+    before the |monoid|^2 circle-product table is built.
     """
     if "dermonoid" in X._cache:
         return X._cache["dermonoid"]
-    if X.g0.order > cap or X.g1.order > cap:
+    if X.g0.order > DERIVATION_CAP or X.g1.order > DERIVATION_CAP:
         raise CapExceededError(
-            f"derivation search capped at order {cap}, got "
+            f"derivation search capped at order {DERIVATION_CAP}, got "
             f"{list(X.order())}"
         )
     g0 = X.g0
@@ -193,6 +198,11 @@ def all_derivations(X: CrossedModule, *, cap: int = DERIVATION_CAP):
     for found in _extensions(g0, _semidirect(X), candidates):
         assert all(s % n0 == x for x, s in enumerate(found))
         tables.append(tuple(s // n0 for s in found))
+        if len(tables) > AUT_TABLE_CAP:
+            raise CapExceededError(
+                f"more than {AUT_TABLE_CAP} derivations: the circle-product "
+                "table is not built"
+            )
     zero = (e1,) * n0
     tables.sort(key=lambda t: (t != zero, t))
     elements = tuple(Derivation(X, t, check=False) for t in tables)
@@ -230,10 +240,10 @@ class WhiteheadGroup:
         return self.carrier.order
 
 
-def whitehead_group(X: CrossedModule, *, cap: int = DERIVATION_CAP):
+def whitehead_group(X: CrossedModule):
     if "whitehead" in X._cache:
         return X._cache["whitehead"]
-    monoid = all_derivations(X, cap=cap)
+    monoid = all_derivations(X)
     units = monoid.unit_indices()
     pos = {u: k for k, u in enumerate(units)}
     try:
@@ -271,7 +281,7 @@ def _aut_index(morphisms) -> dict:
     }
 
 
-def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
+def actor(X: CrossedModule) -> ActorXMod:
     """The crossed module (Whitehead group -> Aut(X)).
 
     The boundary sends a derivation to the automorphism pair
@@ -280,7 +290,7 @@ def actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> ActorXMod:
     """
     if "actor" in X._cache:
         return X._cache["actor"]
-    w = whitehead_group(X, cap=cap)
+    w = whitehead_group(X)
     auts, morphisms = xmod_automorphism_group(X)
     aut_of = _aut_index(morphisms)
     mul0, mul1, bnd = X.g0.mul, X.g1.mul, X.boundary.image_of
@@ -340,11 +350,9 @@ def _conjugation_pair(X: CrossedModule, g0: int) -> tuple[tuple, tuple]:
     return sigma, theta
 
 
-def canonical_morphism(
-    X: CrossedModule, *, cap: int = DERIVATION_CAP
-) -> XModMorphism:
+def canonical_morphism(X: CrossedModule) -> XModMorphism:
     """The morphism X -> actor: inner derivations over conjugation pairs."""
-    act_x = actor(X, cap=cap)
+    act_x = actor(X)
     der_of = {d.image_of: k for k, d in enumerate(act_x.derivations)}
     aut_of = _aut_index(act_x.automorphisms)
     alpha = []
@@ -367,22 +375,20 @@ def canonical_morphism(
     )
 
 
-def inner_actor(X: CrossedModule, *, cap: int = DERIVATION_CAP) -> SubXMod:
+def inner_actor(X: CrossedModule) -> SubXMod:
     """Image of the canonical morphism, as a subobject of the actor."""
-    morphism = canonical_morphism(X, cap=cap)
+    morphism = canonical_morphism(X)
     return sub_xmod(
-        actor(X, cap=cap).xmod,
+        actor(X).xmod,
         set(morphism.alpha.image_of),
         set(morphism.beta.image_of),
     )
 
 
-def class_preserving_derivations(
-    X: CrossedModule, *, cap: int = DERIVATION_CAP
-) -> Subgroup:
+def class_preserving_derivations(X: CrossedModule) -> Subgroup:
     """Derivations of the form x -> g1 * ^x(g1^-1), inside the Whitehead
     carrier; subgroup axioms are re-verified on construction."""
-    w = whitehead_group(X, cap=cap)
+    w = whitehead_group(X)
     der_of = {d.image_of: k for k, d in enumerate(w.member_derivations)}
     members = set()
     for g1 in X.g1.elements:
@@ -406,9 +412,7 @@ def class_preserving_auts(X: CrossedModule) -> Subgroup:
     return Subgroup(auts, members)
 
 
-def class_preserving_actor(
-    X: CrossedModule, *, cap: int = DERIVATION_CAP
-) -> ActorXMod:
+def class_preserving_actor(X: CrossedModule) -> ActorXMod:
     """The restriction of the actor to class preserving members.
 
     The induced action (alpha, beta) . der = (x -> alpha(g1) * ^x
@@ -416,8 +420,8 @@ def class_preserving_actor(
     witness; that independence is asserted here and a violation raises
     WellDefinednessError rather than silently picking a witness.
     """
-    act_x = actor(X, cap=cap)
-    dc = class_preserving_derivations(X, cap=cap)
+    act_x = actor(X)
+    dc = class_preserving_derivations(X)
     ac = class_preserving_auts(X)
     der_of = {d.image_of: k for k, d in enumerate(act_x.derivations)}
     witnesses = {k: [] for k in dc.members}

@@ -11,8 +11,6 @@ from itertools import product as iproduct
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .values import NOT_NILPOTENT, LogValue
-
 DEFAULT_CLOSURE_CAP = 512
 DEFAULT_AUT_CAP = 64
 # largest |Aut G| whose dense Cayley table automorphism_group will build;
@@ -22,7 +20,8 @@ AUT_TABLE_CAP = 1024
 
 
 class CapExceededError(ValueError):
-    """A closure or search grew past its configured cap."""
+    """A closure, search or table would grow past one of this package's
+    fixed caps."""
 
 
 class FiniteGroup:
@@ -353,26 +352,23 @@ def group_from_closure(
     generators: Sequence[Hashable],
     op: Callable[[Hashable, Hashable], Hashable],
     identity: Hashable,
-    *,
-    max_order: Optional[int] = None,
 ) -> tuple[FiniteGroup, list]:
     """Close a generating set under an associative product.
 
     Returns the group and its element list; element i of the group is
     elements[i], with the identity first. Discovery order is a breadth
-    first walk multiplying known elements by generators on the right.
+    first walk multiplying known elements by generators on the right,
+    which raises CapExceededError past DEFAULT_CLOSURE_CAP elements.
     """
-    if max_order is None:
-        max_order = DEFAULT_CLOSURE_CAP
     steps = [lambda a, g=g: op(a, g) for g in generators]
-    elements, index, _ = _closure(identity, steps, max_order)
+    elements, index, _ = _closure(identity, steps, DEFAULT_CLOSURE_CAP)
     return FiniteGroup._of_table(_cayley_table(elements, index, op)), elements
 
 
 def _closure(
     identity: Hashable,
     steps: Sequence[Callable[[Hashable], Hashable]],
-    max_order: int,
+    limit: int,
     known: Optional[tuple[list, dict, list]] = None,
 ) -> tuple[list, dict, list]:
     """The breadth-first closure of identity under steps, one map per
@@ -396,9 +392,9 @@ def _closure(
         for j, step in newest if c < old else every:
             y = step(x)
             if y not in index:
-                if len(elements) >= max_order:
+                if len(elements) >= limit:
                     raise CapExceededError(
-                        f"closure exceeded cap of {max_order} elements"
+                        f"closure exceeded cap of {limit} elements"
                     )
                 index[y] = len(elements)
                 elements.append(y)
@@ -410,23 +406,23 @@ def _greedy_generators(
     candidates: Iterable[Hashable],
     step_of: Callable[[Hashable], Callable[[Hashable], Hashable]],
     identity: Hashable,
-    max_order: int,
+    limit: int,
 ) -> tuple[list, tuple[list, dict, list]]:
     """The candidates, in their order, that the earlier picks do not
     generate, with the _closure of the picks under step_of(pick).
 
-    Stops once the closure holds max_order elements."""
+    Stops once the closure holds limit elements."""
     picks: list = []
     steps: list = []
-    closure = _closure(identity, steps, max_order)  # grows in place
+    closure = _closure(identity, steps, limit)  # grows in place
     reached, index, _ = closure
     for g in candidates:
-        if len(reached) == max_order:
+        if len(reached) == limit:
             break
         if g not in index:
             picks.append(g)
             steps.append(step_of(g))
-            _closure(identity, steps, max_order, closure)
+            _closure(identity, steps, limit, closure)
     return picks, closure
 
 
@@ -483,15 +479,11 @@ def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def group_from_generators(
-    perms: Sequence[Sequence[int]],
-    *,
-    max_order: Optional[int] = None,
-) -> FiniteGroup:
+def group_from_generators(perms: Sequence[Sequence[int]]) -> FiniteGroup:
     """The permutation group generated by image-table permutations.
 
     An empty list yields the trivial group. All permutations are padded
-    to a common degree; the closure is capped at max_order.
+    to a common degree; the closure is capped at DEFAULT_CLOSURE_CAP.
     """
     degree = max((len(p) for p in perms), default=1)
     gens = []
@@ -501,7 +493,7 @@ def group_from_generators(
             raise ValueError(f"not a permutation: {p}")
         gens.append(t)
     ident = tuple(range(degree))
-    group, _ = group_from_closure(gens, compose_perms, ident, max_order=max_order)
+    group, _ = group_from_closure(gens, compose_perms, ident)
     return group
 
 
@@ -904,36 +896,3 @@ def group_fingerprint(G: FiniteGroup) -> tuple:
     )
     G._cache["fp"] = fp
     return fp
-
-
-def group_rank(G: FiniteGroup) -> LogValue:
-    """Exact order |Z∩G'| * |G/Z|, rendered as its log2."""
-    zg = center(G)
-    dg = derived_subgroup(G)
-    overlap = len(zg.member_set & dg.member_set)
-    return LogValue(overlap * (G.order // zg.order))
-
-
-def group_middle_length(G: FiniteGroup) -> LogValue:
-    zg = center(G)
-    dg = derived_subgroup(G)
-    overlap = len(zg.member_set & dg.member_set)
-    return LogValue(dg.order // overlap)
-
-
-def group_lower_central_series(G: FiniteGroup) -> list[Subgroup]:
-    """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; distinct terms only."""
-    terms = [full_subgroup(G)]
-    while True:
-        nxt = relative_commutator_group(G, terms[-1].members, G.elements)
-        if nxt.members == terms[-1].members:
-            return terms
-        terms.append(nxt)
-
-
-def group_nilpotency_class(G: FiniteGroup):
-    """Nilpotency class, or the NOT_NILPOTENT marker."""
-    terms = group_lower_central_series(G)
-    if terms[-1].is_trivial():
-        return len(terms) - 1
-    return NOT_NILPOTENT

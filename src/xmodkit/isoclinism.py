@@ -220,31 +220,25 @@ def _forced_derived_iso(px, py, eta):
     )
 
 
-def is_isoclinic_xmod(X: CrossedModule, Y: CrossedModule, *, slow=False):
+def _family_key(X: CrossedModule) -> tuple:
+    px = commutator_pairing(X)
+    return (xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
+
+
+def is_isoclinic_xmod(X: CrossedModule, Y: CrossedModule):
     """First isoclinism witness, or None.
 
-    The default path derives the only possible derived-level map from
-    each central-quotient isomorphism; the slow path enumerates every
-    derived-level isomorphism per quotient isomorphism and tests the
-    diagrams directly. Both paths agree on existence.
+    Modules whose quotient or derived fingerprints differ are rejected at
+    once.  Otherwise each central-quotient isomorphism forces the only
+    possible derived-level map, which is then tested on the diagrams.
     """
+    if _family_key(X) != _family_key(Y):
+        return None
     px, py = commutator_pairing(X), commutator_pairing(Y)
-    if not slow:
-        if xmod_fingerprint(px.quotient) != xmod_fingerprint(py.quotient):
-            return None
-        if xmod_fingerprint(px.derived_xmod()) != xmod_fingerprint(
-            py.derived_xmod()
-        ):
-            return None
     for eta in all_xmod_isos(px.quotient, py.quotient):
-        if slow:
-            for xi in all_xmod_isos(px.derived_xmod(), py.derived_xmod()):
-                if _diagrams_commute(px, py, eta, xi):
-                    return IsoclinismWitness(eta, xi)
-        else:
-            xi = _forced_derived_iso(px, py, eta)
-            if xi is not None and _diagrams_commute(px, py, eta, xi):
-                return IsoclinismWitness(eta, xi)
+        xi = _forced_derived_iso(px, py, eta)
+        if xi is not None and _diagrams_commute(px, py, eta, xi):
+            return IsoclinismWitness(eta, xi)
     return None
 
 
@@ -311,31 +305,22 @@ def hz_subxmod_isoclinism(X: CrossedModule, H: SubXMod) -> IsoclinismWitness:
     return witness
 
 
-def _family_key(X: CrossedModule) -> tuple:
-    px = commutator_pairing(X)
-    return (xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
-
-
-def xmod_family_partition(reps, *, slow=False) -> list[list[int]]:
+def xmod_family_partition(reps) -> list[list[int]]:
     """Partition indices of reps into isoclinism families.
 
-    Representatives are bucketed by quotient/derived fingerprints first
-    (skipped when slow is set), then compared against one member of each
-    candidate family; order of first appearance is preserved.
+    Representatives are bucketed by quotient/derived fingerprints first,
+    then compared against one member of each candidate family; order of
+    first appearance is preserved.
     """
     families: list[list[int]] = []
     keys: list[tuple] = []
     for i, x in enumerate(reps):
-        key = None if slow else _family_key(x)
-        placed = False
+        key = _family_key(x)
         for f, fam in enumerate(families):
-            if not slow and keys[f] != key:
-                continue
-            if is_isoclinic_xmod(x, reps[fam[0]], slow=slow) is not None:
+            if keys[f] == key and is_isoclinic_xmod(x, reps[fam[0]]) is not None:
                 fam.append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             families.append([i])
             keys.append(key)
     return families

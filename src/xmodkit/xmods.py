@@ -62,9 +62,6 @@ class CrossedModule:
         g0: FiniteGroup,
         boundary: GroupHom,
         action: Sequence[Sequence[int]],
-        *,
-        check_action: bool = True,
-        check_cm: bool = True,
     ):
         if boundary.source is not g1 or boundary.target is not g0:
             if boundary.source.mul != g1.mul or boundary.target.mul != g0.mul:
@@ -77,12 +74,10 @@ class CrossedModule:
         n, m = g1.order, g0.order
         if len(self.action) != m or any(len(row) != n for row in self.action):
             raise ValueError("action table must be |G0| rows of length |G1|")
-        if check_action:
-            self._check_action_rows()
-            self._check_action_hom()
-        if check_cm:
-            self._check_cm1(on_generators=check_action)
-            self._check_cm2()
+        self._check_action_rows()
+        self._check_action_hom()
+        self._check_cm1()
+        self._check_cm2()
 
     def _check_action_rows(self):
         n = self.g1.order
@@ -153,11 +148,11 @@ class CrossedModule:
                         "action-not-homomorphic", (x, y),
                         "action of a product is not the composite")
 
-    def _check_cm1(self, on_generators: bool):
+    def _check_cm1(self):
         d = self.boundary.image_of
-        # when the action is a homomorphism, CM1 at x and at y gives it at
-        # x y: d act(x y) = d act(x) act(y) = conj(x) d act(y) = conj(x y) d
-        if on_generators and all(
+        # the action is a homomorphism by now, so CM1 at x and at y gives it
+        # at x y: d act(x y) = d act(x) act(y) = conj(x) d act(y) = conj(x y) d
+        if all(
             compose_perms(d, self.action[s])
             == compose_perms(conjugation_row(self.g0, s), d)
             for s in generating_sequence(self.g0)
@@ -575,8 +570,8 @@ def _alpha_tables(
 
     Equivariance, alpha o act_X(x) = act_Y(beta x) o alpha, is checked
     for x in generating_sequence(g0) only: both actions are homomorphisms
-    into the automorphisms (CrossedModule validates them unless built
-    with check_action=False), so it then holds on every product."""
+    into the automorphisms (CrossedModule validates both), so it then
+    holds on every product."""
     dX, dY = X.boundary.image_of, Y.boundary.image_of
     g1x, g1y = X.g1, Y.g1
     eo_x, eo_y = g1x.elem_order, g1y.elem_order
@@ -621,15 +616,13 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
 
 
 def is_isomorphic_xmod(
-    X: CrossedModule, Y: CrossedModule, *, slow: bool = False
+    X: CrossedModule, Y: CrossedModule
 ) -> Optional[XModMorphism]:
-    """First isomorphism found, or None. The fast path prefilters by
-    fingerprint; slow=True disables the prefilter."""
-    if not slow and xmod_fingerprint(X) != xmod_fingerprint(Y):
+    """First isomorphism found, or None; modules whose fingerprints
+    differ are rejected without a search."""
+    if xmod_fingerprint(X) != xmod_fingerprint(Y):
         return None
-    for f in all_xmod_isos(X, Y):
-        return f
-    return None
+    return next(all_xmod_isos(X, Y), None)
 
 
 def _xmod_aut_pairs(X: CrossedModule) -> list[tuple[GroupHom, tuple[int, ...]]]:

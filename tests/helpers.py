@@ -17,13 +17,23 @@ from xmodkit.census import (
 from xmodkit.groups import (
     abelian_group,
     all_homs,
+    center,
     cyclic_group,
+    derived_subgroup,
     first_iso,
+    full_subgroup,
     group_fingerprint,
     group_from_generators,
+    relative_commutator_group,
     subgroup_generated,
 )
-from xmodkit.xmods import is_isomorphic_xmod, make_xmod, module_xmod, sub_xmod
+from xmodkit.isoclinism import (
+    IsoclinismWitness,
+    _diagrams_commute,
+    commutator_pairing,
+)
+from xmodkit.values import NOT_NILPOTENT, LogValue
+from xmodkit.xmods import all_xmod_isos, make_xmod, module_xmod, sub_xmod
 
 
 def inversion_module_c8():
@@ -197,15 +207,12 @@ def union_find_roots(keyed):
 
 def pairwise_roots(raw):
     """Lowest index of each built module's isomorphism class, comparing it
-    pairwise, with is_isomorphic_xmod and no prefilter, against the root
-    of every class found before it."""
+    pairwise, with first_xmod_iso, against the root of every class found
+    before it."""
     heads, roots = [], []
     for i, X in enumerate(raw):
         root = next(
-            (r for r in heads
-             if is_isomorphic_xmod(X, raw[r], slow=True) is not None),
-            i,
-        )
+            (r for r in heads if first_xmod_iso(X, raw[r]) is not None), i)
         if root == i:
             heads.append(i)
         roots.append(root)
@@ -217,3 +224,70 @@ def reduce_with(roots, raw, order_pair):
     reps, class_map = _classes(roots, raw.__getitem__)
     return CensusResult(order_pair=order_pair, raw_count=len(raw),
                         representatives=reps, class_map=class_map).validate()
+
+
+# --- classification oracles: the searches with no fingerprint prefilter ---
+
+
+def first_xmod_iso(X, Y):
+    """The first isomorphism X -> Y of the full search, or None."""
+    return next(all_xmod_isos(X, Y), None)
+
+
+def slow_isoclinism(X, Y):
+    """The first isoclinism witness, or None, trying every derived-level
+    isomorphism against each central-quotient isomorphism."""
+    px, py = commutator_pairing(X), commutator_pairing(Y)
+    for eta in all_xmod_isos(px.quotient, py.quotient):
+        for xi in all_xmod_isos(px.derived_xmod(), py.derived_xmod()):
+            if _diagrams_commute(px, py, eta, xi):
+                return IsoclinismWitness(eta, xi)
+    return None
+
+
+def slow_family_partition(reps):
+    """Isoclinism families in order of first appearance, each module
+    compared with every family head through slow_isoclinism."""
+    families = []
+    for i, x in enumerate(reps):
+        fam = next((f for f in families
+                    if slow_isoclinism(x, reps[f[0]]) is not None), None)
+        if fam is None:
+            families.append([i])
+        else:
+            fam.append(i)
+    return families
+
+
+# --- group invariants from their definitions, the oracle of the group rows ---
+
+
+def group_rank(G):
+    """Exact order |Z∩G'| * |G/Z|, rendered as its log2."""
+    zg, dg = center(G), derived_subgroup(G)
+    overlap = len(zg.member_set & dg.member_set)
+    return LogValue(overlap * (G.order // zg.order))
+
+
+def group_middle_length(G):
+    """Exact order |G' / (Z∩G')|, rendered as its log2."""
+    zg, dg = center(G), derived_subgroup(G)
+    return LogValue(dg.order // len(zg.member_set & dg.member_set))
+
+
+def group_lower_central_series(G):
+    """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; distinct terms only."""
+    terms = [full_subgroup(G)]
+    while True:
+        nxt = relative_commutator_group(G, terms[-1].members, G.elements)
+        if nxt.members == terms[-1].members:
+            return terms
+        terms.append(nxt)
+
+
+def group_nilpotency_class(G):
+    """Nilpotency class, or the NOT_NILPOTENT marker."""
+    terms = group_lower_central_series(G)
+    if terms[-1].is_trivial():
+        return len(terms) - 1
+    return NOT_NILPOTENT

@@ -28,7 +28,14 @@ import collections
 import itertools
 import time
 
-from helpers import pairwise_roots, raw_modules, reduce_with
+from helpers import (
+    first_xmod_iso,
+    pairwise_roots,
+    raw_modules,
+    reduce_with,
+    slow_family_partition,
+    slow_isoclinism,
+)
 from xmodkit.catalog import catalog_group
 from xmodkit.census import all_xmods, census, group_census, reduce_by_isomorphism
 from xmodkit.derivations import (
@@ -460,14 +467,44 @@ def test_criterion_8_fast_and_slow_paths_agree():
     assert len(fast.representatives) == len(slow.representatives)
 
     reps = fast.representatives
-    assert xmod_family_partition(reps) == xmod_family_partition(
-        reps, slow=True
-    )
+    assert xmod_family_partition(reps) == slow_family_partition(reps)
     for X, Y in itertools.combinations(reps, 2):
         assert (is_isomorphic_xmod(X, Y) is None) == (
-            is_isomorphic_xmod(X, Y, slow=True) is None
+            first_xmod_iso(X, Y) is None
         )
         assert (is_isoclinic_xmod(X, Y) is None) == (
-            is_isoclinic_xmod(X, Y, slow=True) is None
+            slow_isoclinism(X, Y) is None
         )
     assert time.perf_counter() - start < 600.0
+
+
+def test_exported_callables_take_no_path_options():
+    # one default per question: the slow paths live in tests/helpers.py and
+    # the caps are module constants, not keyword options
+    import importlib
+    import inspect
+    import pkgutil
+
+    import xmodkit
+
+    def walked(obj):
+        # exceptions without their own __init__ take the builtin (*args)
+        return callable(obj) and not (
+            isinstance(obj, type) and issubclass(obj, Exception)
+            and "__init__" not in vars(obj))
+
+    options = {"slow", "cap", "check_action", "check_cm", "max_order"}
+    checked = set()
+    for info in pkgutil.iter_modules(xmodkit.__path__):
+        module = importlib.import_module(f"xmodkit.{info.name}")
+        for name, obj in vars(module).items():
+            if (walked(obj) and not name.startswith("_")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                params = set(inspect.signature(obj).parameters)
+                assert not params & options, (module.__name__, name)
+                checked.add(name)
+    exported = {name for name, obj in vars(xmodkit).items()
+                if walked(obj) and not name.startswith("_")}
+    assert exported <= checked
+    assert {"CrossedModule", "all_derivations", "group_from_closure",
+            "is_isoclinic_xmod", "xmod_family_partition"} <= checked

@@ -13,11 +13,13 @@ Brute-force baselines:
 """
 
 import itertools
+import time
 
 import pytest
 
 from helpers import inversion_module_c8
 
+from xmodkit import derivations
 from xmodkit.derivations import (
     ActorXMod,
     Derivation,
@@ -274,16 +276,18 @@ def test_class_preserving_actor_matches_inner_actor():
         assert ac.members == inner.s0.members
 
 
-def test_isoclinic_identity_xmods_same_class_preserving_actor():
+def test_isoclinic_identity_xmods_same_class_preserving_actor(monkeypatch):
+    # the paper's C32 example lies above DERIVATION_CAP = 24
+    monkeypatch.setattr(derivations, "DERIVATION_CAP", 32)
     kl4 = identity_xmod(abelian_group([2, 2]))
     c32 = identity_xmod(cyclic_group(32))
     act_kl4 = actor(kl4)
-    act_c32 = actor(c32, cap=32)
+    act_c32 = actor(c32)
     assert act_kl4.xmod.order() == (6, 6)
     assert act_c32.xmod.order() == (16, 16)
     assert is_isomorphic_xmod(act_kl4.xmod, act_c32.xmod) is None
     small = class_preserving_actor(kl4)
-    large = class_preserving_actor(c32, cap=32)
+    large = class_preserving_actor(c32)
     assert small.xmod.order() == (1, 1)
     assert large.xmod.order() == (1, 1)
     assert is_isomorphic_xmod(small.xmod, large.xmod) is not None
@@ -298,3 +302,15 @@ def test_derivation_validation_and_cap():
     big = module_xmod(cyclic_group(1), cyclic_group(25))
     with pytest.raises(CapExceededError):
         all_derivations(big)
+
+
+def test_derivation_monoid_too_large_to_tabulate_fails_fast():
+    # with the trivial action the derivations are the 2^16 homomorphisms
+    # C2^4 -> C2^4, whose circle-product table would have 2^32 entries
+    c2_4 = abelian_group([2, 2, 2, 2])
+    x = module_xmod(c2_4, c2_4)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="more than 1024 derivations"):
+        all_derivations(x)
+    assert time.perf_counter() - start < 1.0
+    assert "dermonoid" not in x._cache

@@ -11,7 +11,14 @@ from itertools import product as iproduct
 
 import pytest
 
+from helpers import (
+    group_lower_central_series,
+    group_middle_length,
+    group_nilpotency_class,
+    group_rank,
+)
 from xmodkit.catalog import catalog_group, load_catalog
+from xmodkit.census import _group_row
 from xmodkit.groups import (
     AUT_TABLE_CAP,
     CapExceededError,
@@ -38,10 +45,6 @@ from xmodkit.groups import (
     group_fingerprint,
     group_from_closure,
     group_from_generators,
-    group_lower_central_series,
-    group_middle_length,
-    group_nilpotency_class,
-    group_rank,
     identity_hom,
     conjugation_table,
     quotient_group,
@@ -49,8 +52,10 @@ from xmodkit.groups import (
     subgroup_generated,
     symmetric_group,
 )
+from xmodkit.invariants import lower_central_series
 from xmodkit.isoclinism import group_family_partition, is_isoclinic_group
 from xmodkit.values import NOT_NILPOTENT, class_text, log2_text
+from xmodkit.xmods import identity_xmod
 
 
 def brute_homs(G, H):
@@ -89,10 +94,11 @@ def test_mixed_degree_generators_pad():
 
 
 def test_closure_cap():
+    # S6 has 720 elements, above DEFAULT_CLOSURE_CAP = 512; S5 has 120
+    with pytest.raises(CapExceededError):
+        group_from_generators([tuple(range(1, 6)) + (0,), (1, 0, 2, 3, 4, 5)])
     cycle = tuple(range(1, 5)) + (0,)
     swap = (1, 0, 2, 3, 4)
-    with pytest.raises(CapExceededError):
-        group_from_generators([cycle, swap], max_order=100)
     assert group_from_generators([cycle, swap]).order == 120
 
 
@@ -531,53 +537,80 @@ def test_log2_rendering():
     assert log2_text(18) == "4.17"
 
 
+def group_row(G):
+    """Rank, middle length and class of G, as the group census reads them
+    from its identity module."""
+    return _group_row(load_catalog(), G)[:3]
+
+
+def lcs_sizes(G):
+    """Level-1 sizes of the lower central series of the identity module."""
+    return [t.s1.order for t in lower_central_series(identity_xmod(G)).terms]
+
+
 def test_rank_and_middle_length_order8():
     # frozen: published order-8 family census (abelian row and D8 row)
-    c8 = cyclic_group(8)
-    assert group_rank(c8).order == 1
-    assert group_middle_length(c8).order == 1
-    assert group_nilpotency_class(c8) == 1
-    d8 = dihedral_group(4)
-    assert group_rank(d8).order == 8  # log2 = 3
-    assert group_rank(d8).render() == "3.00"
-    assert group_middle_length(d8).order == 1
-    assert group_nilpotency_class(d8) == 2
-    q8 = dicyclic_group(2)
-    assert group_rank(q8).order == 8
-    assert group_nilpotency_class(q8) == 2
+    rank, ml, cls = group_row(cyclic_group(8))
+    assert rank.order == 1
+    assert ml.order == 1
+    assert cls == 1
+    rank, ml, cls = group_row(dihedral_group(4))
+    assert rank.order == 8  # log2 = 3
+    assert rank.render() == "3.00"
+    assert ml.order == 1
+    assert cls == 2
+    rank, _, cls = group_row(dicyclic_group(2))
+    assert rank.order == 8
+    assert cls == 2
 
 
 def test_rank_and_middle_length_order18():
     # frozen: published order-18 family census rows
-    d18 = dihedral_group(9)
-    assert group_rank(d18).order == 18
-    assert group_rank(d18).render() == "4.17"
-    assert group_middle_length(d18).order == 9
-    assert group_middle_length(d18).render() == "3.17"
-    assert group_nilpotency_class(d18) is NOT_NILPOTENT
-    assert class_text(group_nilpotency_class(d18)) == "0"
+    rank, ml, cls = group_row(dihedral_group(9))
+    assert rank.order == 18
+    assert rank.render() == "4.17"
+    assert ml.order == 9
+    assert ml.render() == "3.17"
+    assert cls is NOT_NILPOTENT
+    assert class_text(cls) == "0"
 
-    c3_s3 = direct_product(cyclic_group(3), symmetric_group(3))
-    assert group_rank(c3_s3).order == 6
-    assert group_rank(c3_s3).render() == "2.58"
-    assert group_middle_length(c3_s3).order == 3
-    assert group_middle_length(c3_s3).render() == "1.58"
-    assert group_nilpotency_class(c3_s3) is NOT_NILPOTENT
+    rank, ml, cls = group_row(direct_product(cyclic_group(3), symmetric_group(3)))
+    assert rank.order == 6
+    assert rank.render() == "2.58"
+    assert ml.order == 3
+    assert ml.render() == "1.58"
+    assert cls is NOT_NILPOTENT
 
-    c18 = cyclic_group(18)
-    assert group_rank(c18).order == 1
-    assert group_nilpotency_class(c18) == 1
+    rank, _, cls = group_row(cyclic_group(18))
+    assert rank.order == 1
+    assert cls == 1
 
 
 def test_lower_central_series():
-    d8 = dihedral_group(4)
-    sizes = [t.order for t in group_lower_central_series(d8)]
-    assert sizes == [8, 2, 1]
-    d18 = dihedral_group(9)
-    sizes18 = [t.order for t in group_lower_central_series(d18)]
-    assert sizes18 == [18, 9]  # stabilizes without reaching the identity
-    assert [t.order for t in group_lower_central_series(cyclic_group(1))] == [1]
-    assert group_nilpotency_class(cyclic_group(1)) == 0
+    assert lcs_sizes(dihedral_group(4)) == [8, 2, 1]
+    # stabilizes without reaching the identity
+    assert lcs_sizes(dihedral_group(9)) == [18, 9]
+    assert lcs_sizes(cyclic_group(1)) == [1]
+    assert group_row(cyclic_group(1))[2] == 0
+
+
+def test_group_rows_match_the_group_definitions():
+    # level 1 of the identity module against the group-level definitions
+    cat = load_catalog()
+    for e in cat.entries:
+        G = cat.group(e.order, e.index)
+        X = identity_xmod(G)
+        series = group_lower_central_series(G)
+        terms = lower_central_series(X).terms
+        assert [t.s1.members for t in terms] == [t.members for t in series]
+        assert all(t.s0.members == t.s1.members for t in terms)
+        rank, ml, cls, _, gamma_ids = _group_row(cat, G)
+        assert rank == group_rank(G), (e.order, e.index)
+        assert ml == group_middle_length(G), (e.order, e.index)
+        assert cls == group_nilpotency_class(G), (e.order, e.index)
+        gammas = [t for t in series[1:] if t.order > 1]
+        assert gamma_ids == tuple(
+            "%d:%d" % cat.identify(t.as_group()) for t in gammas)
 
 
 # --- isoclinism ---

@@ -13,7 +13,14 @@ Key hand-derived facts used below:
 
 import pytest
 
-from helpers import inversion_module_c8, xm_16_2_inversion, xm_16_2_swap
+from helpers import (
+    first_xmod_iso,
+    inversion_module_c8,
+    slow_family_partition,
+    slow_isoclinism,
+    xm_16_2_inversion,
+    xm_16_2_swap,
+)
 
 from xmodkit.catalog import load_catalog
 from xmodkit.groups import (
@@ -105,7 +112,7 @@ def test_abelian_xmods_are_isoclinic():
     c = module_xmod(cyclic_group(1), cyclic_group(1))
     for left, right in ((a, b), (a, c), (b, c)):
         assert is_isoclinic_xmod(left, right) is not None
-        assert is_isoclinic_xmod(left, right, slow=True) is not None
+        assert slow_isoclinism(left, right) is not None
 
 
 def test_different_orders_can_be_isoclinic():
@@ -114,7 +121,7 @@ def test_different_orders_can_be_isoclinic():
     wab = is_isoclinic_xmod(a, b)
     assert wab is not None and validate_witness(a, b, wab)
     assert is_isomorphic_xmod(a, b) is None
-    assert is_isomorphic_xmod(a, b, slow=True) is None
+    assert first_xmod_iso(a, b) is None
     w = is_isoclinic_xmod(small, a)
     assert w is not None and validate_witness(small, a, w)
     # symmetry
@@ -140,7 +147,7 @@ def test_fast_and_slow_paths_agree():
     for a in xs:
         for b in xs:
             fast = is_isoclinic_xmod(a, b)
-            between = is_isoclinic_xmod(a, b, slow=True)
+            between = slow_isoclinism(a, b)
             assert (fast is None) == (between is None)
             if fast is not None:
                 assert validate_witness(a, b, fast)
@@ -158,7 +165,7 @@ def test_q8_and_d8_identity_xmods():
     assert report.all_hold()
     assert report.both_aspherical and report.both_simply_connected
     assert is_isoclinic_xmod(q8, s3) is None
-    assert is_isoclinic_xmod(q8, s3, slow=True) is None
+    assert slow_isoclinism(q8, s3) is None
 
 
 def test_hz_subxmod_isoclinism():
@@ -196,7 +203,7 @@ def test_family_partition():
         [5, 6],
         [7],
     ]
-    assert xmod_family_partition(xs, slow=True) == xmod_family_partition(xs)
+    assert slow_family_partition(xs) == xmod_family_partition(xs)
     assert xmod_family_partition(xs[:1]) == [[0]]
 
 
@@ -225,5 +232,5 @@ def test_group_families_match_record_and_slow_identity_modules(order):
     groups = load_catalog().groups_of_order(order)
     families = group_family_partition(groups)
     assert families == GROUP_FAMILIES[order]
-    slow = xmod_family_partition([identity_xmod(G) for G in groups], slow=True)
+    slow = slow_family_partition([identity_xmod(G) for G in groups])
     assert slow == families
