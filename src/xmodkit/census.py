@@ -181,6 +181,22 @@ def _aut_index(G: FiniteGroup) -> dict:
     return G._cache["autindex"]
 
 
+def _aut_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """Order of each automorphism in _aut_tables(G); computed once per
+    group, not once per G0 that acts on it."""
+    if "autorders" not in G._cache:
+        tables = _aut_tables(G)
+        orders = []
+        for t in tables:
+            k, power = 1, t
+            while power != tables[0]:
+                power = compose_perms(t, power)
+                k += 1
+            orders.append(k)
+        G._cache["autorders"] = tuple(orders)
+    return G._cache["autorders"]
+
+
 def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
     """Action homomorphisms G0 -> Aut(G1) as tables of indices into
     automorphisms(G1), in the order all_homs finds them in
@@ -193,15 +209,8 @@ def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:
     divides |g|.
     """
     tables, index = _aut_tables(G1), _aut_index(G1)
-    orders = []
-    for t in tables:
-        k, power = 1, t
-        while power != tables[0]:
-            power = compose_perms(t, power)
-            k += 1
-        orders.append(k)
     fits = {
-        d: [j for j, k in enumerate(orders) if d % k == 0]
+        d: [j for j, k in enumerate(_aut_orders(G1)) if d % k == 0]
         for d in set(G0.elem_order)
     }
     target = SimpleNamespace(identity=0, mul=_OnDemandTable(

@@ -218,12 +218,16 @@ class Subgroup:
         return self.members == (self.parent.identity,)
 
     def is_normal(self) -> bool:
+        """Whether conjugation by each generator of the parent maps each
+        generator of the subgroup into it.  Conjugation by g is an
+        automorphism, so it maps the subgroup into itself once it maps the
+        generators in, and the g that do form a subgroup of the parent."""
         if "normal" not in self._cache:
             par = self.parent
             self._cache["normal"] = all(
                 par.conj(g, h) in self.member_set
-                for g in par.elements
-                for h in self.members
+                for g in generating_sequence(par)
+                for h in subgroup_generators(self)
             )
         return self._cache["normal"]
 
@@ -798,15 +802,20 @@ def _iso_tables(G: FiniteGroup, H: FiniteGroup) -> Iterator[tuple[int, ...]]:
     return (t for t in tables if len(set(t)) == G.order)
 
 
-def all_isos(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
-    """Every isomorphism G -> H; for G against itself, identity first."""
-    tables = list(_iso_tables(G, H))
+def _iter_isos(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
+    """The isomorphisms G -> H in all_isos order, each found when drawn."""
+    tables = _iso_tables(G, H)
     if G is H or G.mul == H.mul:
         ident = tuple(G.elements)
-        return [identity_hom(G)] + [
-            GroupHom(G, H, t, check=False) for t in tables if t != ident
-        ]
-    return [GroupHom(G, H, t, check=False) for t in tables]
+        yield identity_hom(G)
+        tables = (t for t in tables if t != ident)
+    for t in tables:
+        yield GroupHom(G, H, t, check=False)
+
+
+def all_isos(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
+    """Every isomorphism G -> H; for G against itself, identity first."""
+    return list(_iter_isos(G, H))
 
 
 def first_iso(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:

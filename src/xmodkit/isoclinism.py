@@ -6,16 +6,26 @@ the commutator pairings c1 (central cosets into the displacement
 subgroup) and c0 (base cosets into the base derived subgroup). This
 module builds those pairings with exhaustive well-definedness checks,
 decides isoclinism with an explicit reusable witness, and partitions
-representative lists into isoclinism families.  Isoclinism of groups is
-the case of the identity crossed modules (G -> G).
+representative lists into isoclinism families.  Both climb a ladder of
+invariants that every isoclinism preserves, cheapest first, before any
+witness search.  Isoclinism of groups is the case of the identity
+crossed modules (G -> G).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupHom, Subgroup, _closure_map, quotient_group
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    _closure_map,
+    _greedy_generators,
+    quotient_group,
+)
 from .invariants import (
     center_xmod,
     derived_subxmod,
@@ -41,7 +51,9 @@ class CommutatorPairing:
     sub-crossed-module.
 
     c1[q1][q0] and c0[q0][q0'] hold parent-coordinate values; both tables
-    were verified to be independent of the representative choice.
+    were verified to be independent of the representative choice.  cells1
+    and cells0 are the cells of c1 and c0, in scan order, whose values
+    generate the derived levels.
     """
 
     xmod: CrossedModule
@@ -50,6 +62,8 @@ class CommutatorPairing:
     derived: SubXMod
     c1: tuple
     c0: tuple
+    cells1: tuple
+    cells0: tuple
 
     def derived_xmod(self) -> CrossedModule:
         return self.derived.as_xmod()
@@ -86,11 +100,29 @@ def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
     d1, d0 = derived.s1.member_set, derived.s0.member_set
     assert all(v in d1 for row in c1 for v in row)
     assert all(v in d0 for row in c0 for v in row)
+    c1 = tuple(map(tuple, c1))
     pairing = CommutatorPairing(
-        X, quotient, projection, derived, tuple(tuple(row) for row in c1), c0
+        X, quotient, projection, derived, c1, c0,
+        _generating_cells(X.g1, c1, derived.s1.order),
+        _generating_cells(X.g0, c0, derived.s0.order),
     )
     X._cache["pairing"] = pairing
     return pairing
+
+
+def _generating_cells(G: FiniteGroup, table: tuple, order: int) -> tuple:
+    """The cells (row, column) of a pairing table, in scan order, whose
+    values generate the subgroup of G, of the given order, that all the
+    values generate: each cell whose value the earlier cells' values do
+    not generate."""
+    first = {}  # value -> the first cell holding it
+    for i, row in enumerate(table):
+        for j, value in enumerate(row):
+            first.setdefault(value, (i, j))
+    mul = G.mul
+    picks, _ = _greedy_generators(
+        first, lambda g: mul[g].__getitem__, G.identity, order)
+    return tuple(first[v] for v in picks)
 
 
 def _commutator_cosets(G: FiniteGroup, N: Subgroup) -> tuple:
@@ -128,11 +160,14 @@ class IsoclinismWitness:
 
 
 def _sub_positions(sub: SubXMod) -> tuple[dict, dict]:
-    """parent element -> index inside sub.as_xmod(), per level."""
-    return (
-        {g: i for i, g in enumerate(sub.s1.members)},
-        {g: i for i, g in enumerate(sub.s0.members)},
-    )
+    """parent element -> index inside sub.as_xmod(), per level; built once
+    per sub-crossed-module."""
+    if "positions" not in sub._cache:
+        sub._cache["positions"] = (
+            {g: i for i, g in enumerate(sub.s1.members)},
+            {g: i for i, g in enumerate(sub.s0.members)},
+        )
+    return sub._cache["positions"]
 
 
 def _diagrams_commute(px, py, eta, xi) -> bool:
@@ -168,40 +203,42 @@ def validate_witness(
     return _diagrams_commute(px, py, eta, xi)
 
 
+def _forced_level(G: FiniteGroup, H: FiniteGroup, pairs) -> Optional[tuple]:
+    """The image table of the bijective homomorphism G -> H that extends
+    pairs, a generator of G with its image each, or None."""
+    image = _closure_map(G, H, pairs)
+    if image is None or len(image) != G.order:
+        return None
+    if len(set(image.values())) != G.order:
+        return None
+    return tuple(image[g] for g in G.elements)
+
+
 def _forced_derived_iso(px, py, eta):
     """The unique derived-level candidate compatible with eta, or None.
 
     The diagrams prescribe the image of every c1/c0 value, and those
-    values generate the derived levels, so the candidate is forced;
-    it survives only if the forced assignments extend to a bijective
-    morphism.
+    values generate the derived levels, so the candidate is forced.  It
+    is closed from the cells whose values generate (cells1 and cells0
+    of px) and survives only if it is a bijective morphism; the other
+    cells are left to _diagrams_commute.
     """
     dx, dy = px.derived_xmod(), py.derived_xmod()
     s1x, s0x = _sub_positions(px.derived)
     s1y, s0y = _sub_positions(py.derived)
     e1, e0 = eta.alpha.image_of, eta.beta.image_of
-    pairs1 = {
-        (s1x[value], s1y[py.c1[e1[q1]][e0[q0]]])
-        for q1, row in enumerate(px.c1)
-        for q0, value in enumerate(row)
-    }
-    map1 = _closure_map(dx.g1, dy.g1, sorted(pairs1))
-    if map1 is None or len(map1) != dx.g1.order:
+    alpha = _forced_level(dx.g1, dy.g1, [
+        (s1x[px.c1[q1][q0]], s1y[py.c1[e1[q1]][e0[q0]]])
+        for q1, q0 in px.cells1
+    ])
+    if alpha is None:
         return None
-    if len(set(map1.values())) != dx.g1.order:
+    beta = _forced_level(dx.g0, dy.g0, [
+        (s0x[px.c0[q0][r0]], s0y[py.c0[e0[q0]][e0[r0]]])
+        for q0, r0 in px.cells0
+    ])
+    if beta is None:
         return None
-    pairs0 = {
-        (s0x[value], s0y[py.c0[e0[q0]][e0[r0]]])
-        for q0, row in enumerate(px.c0)
-        for r0, value in enumerate(row)
-    }
-    map0 = _closure_map(dx.g0, dy.g0, sorted(pairs0))
-    if map0 is None or len(map0) != dx.g0.order:
-        return None
-    if len(set(map0.values())) != dx.g0.order:
-        return None
-    alpha = tuple(map1[a] for a in dx.g1.elements)
-    beta = tuple(map0[x] for x in dx.g0.elements)
     bx, by = dx.boundary.image_of, dy.boundary.image_of
     if any(by[alpha[a]] != beta[bx[a]] for a in dx.g1.elements):
         return None
@@ -220,19 +257,71 @@ def _forced_derived_iso(px, py, eta):
     )
 
 
+# --- the ladder: invariants of isoclinism, cheapest first ---
+
+
+def _order_key(X: CrossedModule) -> tuple:
+    """|G1/Z1|, |G0/Z0|, |D1| and |D0|, read from the centre and the
+    derived sub-crossed-module without building either quotient.  The
+    orders of X itself are no invariant: isoclinic modules may differ in
+    order."""
+    if "isoclinism orders" not in X._cache:
+        z, d = center_xmod(X), derived_subxmod(X)
+        X._cache["isoclinism orders"] = (
+            X.g1.order // z.s1.order, X.g0.order // z.s0.order, *d.order)
+    return X._cache["isoclinism orders"]
+
+
 def _family_key(X: CrossedModule) -> tuple:
-    px = commutator_pairing(X)
-    return (xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
+    """Fingerprints of the central quotient and of the derived module."""
+    if "isoclinism fingerprints" not in X._cache:
+        px = commutator_pairing(X)
+        X._cache["isoclinism fingerprints"] = (
+            xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
+    return X._cache["isoclinism fingerprints"]
+
+
+def _pairing_profile(X: CrossedModule) -> tuple:
+    """How often each triple of element orders (|q1|, |q0|, |c1(q1, q0)|)
+    and (|q|, |r|, |c0(q, r)|) occurs over the cells of the pairings, as
+    one flat tuple per pairing: each triple in sorted order, then its
+    count.  An isoclinism maps cells to cells and values to values by
+    isomorphisms, commuting with c1 and c0, so it keeps both counts."""
+    if "isoclinism profile" not in X._cache:
+        p = commutator_pairing(X)
+        o1, o0 = p.quotient.g1.elem_order, p.quotient.g0.elem_order
+        v1, v0 = X.g1.elem_order, X.g0.elem_order
+        c1 = Counter(
+            (o1[q1], o0[q0], v1[value])
+            for q1, row in enumerate(p.c1) for q0, value in enumerate(row))
+        c0 = Counter(
+            (o0[q], o0[r], v0[value])
+            for q, row in enumerate(p.c0) for r, value in enumerate(row))
+        X._cache["isoclinism profile"] = tuple(
+            tuple(v for triple, n in sorted(counts.items()) for v in (*triple, n))
+            for counts in (c1, c0))
+    return X._cache["isoclinism profile"]
+
+
+_LADDER = (_order_key, _family_key, _pairing_profile)
+
+
+def _ladder_agrees(X: CrossedModule, Y: CrossedModule) -> bool:
+    """Whether X and Y agree on every rung of _LADDER.  Each rung is
+    computed once per module, and only once the rungs below it agree."""
+    return all(rung(X) == rung(Y) for rung in _LADDER)
 
 
 def is_isoclinic_xmod(X: CrossedModule, Y: CrossedModule):
     """First isoclinism witness, or None.
 
-    Modules whose quotient or derived fingerprints differ are rejected at
-    once.  Otherwise each central-quotient isomorphism forces the only
-    possible derived-level map, which is then tested on the diagrams.
+    Modules that differ on a rung of the ladder (quotient and derived
+    orders, then their fingerprints, then the pairing-order profile) are
+    rejected without a search.  Otherwise the central-quotient
+    isomorphisms are drawn one at a time; each forces the only possible
+    derived-level map, which is then tested on the diagrams.
     """
-    if _family_key(X) != _family_key(Y):
+    if not _ladder_agrees(X, Y):
         return None
     px, py = commutator_pairing(X), commutator_pairing(Y)
     for eta in all_xmod_isos(px.quotient, py.quotient):
@@ -308,21 +397,19 @@ def hz_subxmod_isoclinism(X: CrossedModule, H: SubXMod) -> IsoclinismWitness:
 def xmod_family_partition(reps) -> list[list[int]]:
     """Partition indices of reps into isoclinism families.
 
-    Representatives are bucketed by quotient/derived fingerprints first,
-    then compared against one member of each candidate family; order of
-    first appearance is preserved.
+    Each representative is compared with the first member of each family
+    that agrees with it on the ladder; order of first appearance is
+    preserved.
     """
     families: list[list[int]] = []
-    keys: list[tuple] = []
     for i, x in enumerate(reps):
-        key = _family_key(x)
-        for f, fam in enumerate(families):
-            if keys[f] == key and is_isoclinic_xmod(x, reps[fam[0]]) is not None:
+        for fam in families:
+            head = reps[fam[0]]
+            if _ladder_agrees(x, head) and is_isoclinic_xmod(x, head) is not None:
                 fam.append(i)
                 break
         else:
             families.append([i])
-            keys.append(key)
     return families
 
 

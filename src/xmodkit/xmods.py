@@ -17,13 +17,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import catalog_group
 from .groups import (
+    CapExceededError,
     FiniteGroup,
     GroupHom,
     Subgroup,
     _cayley_table,
     _closure,
     _extensions,
-    all_isos,
+    _iter_isos,
     automorphisms,
     compose_perms,
     conjugation_row,
@@ -33,9 +34,13 @@ from .groups import (
     group_fingerprint,
     identity_hom,
     quotient_group,
+    subgroup_generators,
 )
 
 SERIAL_VERSION = "v1"
+# largest |Aut X| whose dense Cayley table xmod_automorphism_group builds;
+# see its docstring for the measurements behind the value
+XMOD_AUT_TABLE_CAP = 3000
 
 
 class XModAxiomError(ValueError):
@@ -227,11 +232,16 @@ def make_xmod(
 
 
 def identity_xmod(M: FiniteGroup) -> CrossedModule:
-    """(M -> M) with the identity boundary and conjugation action."""
-    action = tuple(
-        tuple(M.conj(x, a) for a in M.elements) for x in M.elements
-    )
-    return CrossedModule(M, M, identity_hom(M), action)
+    """(M -> M) with the identity boundary and conjugation action; built
+    once per group, so every caller shares its cached centre, pairing and
+    isoclinism keys."""
+    if "identity xmod" not in M._cache:
+        action = tuple(
+            tuple(M.conj(x, a) for a in M.elements) for x in M.elements
+        )
+        M._cache["identity xmod"] = CrossedModule(
+            M, M, identity_hom(M), action)
+    return M._cache["identity xmod"]
 
 
 def inclusion_xmod(M: FiniteGroup, N) -> CrossedModule:
@@ -365,23 +375,32 @@ def trivial_subxmod(X: CrossedModule) -> SubXMod:
 
 def is_normal_subxmod(X: CrossedModule, S: SubXMod) -> bool:
     """S0 normal in G0, S1 stable under all of G0, and displacements of
-    S0 against G1 land in S1."""
+    S0 against G1 land in S1; each checked on generators.
+
+    Each ^x is an automorphism, so it maps S1 into S1 once it maps the
+    generators of S1 in, and the x that do form a subgroup of G0.  With S1
+    stable, the a whose displacement by one x lies in S1 form a subgroup
+    of G1, since
+        ^x(ab) (ab)^-1 = (^x a a^-1) a (^x b b^-1) a^-1
+    and conjugation by a is the action of its boundary (CM2); and the x
+    whose displacements all lie in S1 are closed under products, since
+        ^xy a a^-1 = ^x(^y a a^-1) (^x a a^-1).
+    S1 is then normal in G1 by CM2."""
     if S.parent is not X and S.parent != X:
         raise ValueError("subxmod of a different crossed module")
     if not S.s0.is_normal():
         return False
-    s1set = S.s1.member_set
-    for x in X.g0.elements:
-        row = X.action[x]
-        if any(row[a] not in s1set for a in S.s1.members):
-            return False
+    s1set, act = S.s1.member_set, X.action
+    gens1 = subgroup_generators(S.s1)
+    if any(act[x][a] not in s1set
+           for x in generating_sequence(X.g0) for a in gens1):
+        return False
     mul1, inv1 = X.g1.mul, X.g1.inv
-    for x in S.s0.members:
-        row = X.action[x]
-        for a in X.g1.elements:
-            if mul1[row[a]][inv1[a]] not in s1set:
-                return False
-    return True
+    return all(
+        mul1[act[x][a]][inv1[a]] in s1set
+        for x in subgroup_generators(S.s0)
+        for a in generating_sequence(X.g1)
+    )
 
 
 class XModMorphism:
@@ -594,8 +613,10 @@ def _alpha_tables(
 
 def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     """Every isomorphism X -> Y, searching beta first; on X against itself
-    the identity comes first.  For each beta, in the order of its list,
-    the alphas come in _alpha_tables order."""
+    the identity comes first.  The betas come in all_isos order, each
+    found when drawn unless the base groups are one object (its cached
+    automorphisms), and for each beta the alphas come in _alpha_tables
+    order."""
     if X.order() != Y.order():
         return
     same = X == Y
@@ -606,7 +627,7 @@ def all_xmod_isos(X: CrossedModule, Y: CrossedModule) -> Iterator[XModMorphism]:
     if X.g0 is Y.g0:
         betas = automorphisms(X.g0)
     else:
-        betas = all_isos(X.g0, Y.g0)
+        betas = _iter_isos(X.g0, Y.g0)
     for beta in betas:
         for img in _alpha_tables(X, Y, beta.image_of):
             if same and (img, beta.image_of) == id_pair:
@@ -681,14 +702,28 @@ def xmod_automorphism_group(
     """Aut(X) with composition (f*g) = f after g; identity is element 0.
 
     The list is all_xmod_isos(X, X) in its order, identity first; the
-    table is built row by row from generators of the group."""
+    table is built row by row from generators of the group.
+
+    The table has |Aut X|^2 entries, so |Aut X| is checked against
+    XMOD_AUT_TABLE_CAP from the automorphism list, before the table is
+    built.  The largest |Aut X| over the representatives of [4,4], [8,4],
+    [9,9], [12,12] and [20,20] is 2304 ([9,9] representative 13), a 5.3 M
+    entry table built in 0.6 s at a 66 MiB peak on a 2-vCPU VM; a cap of
+    3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X| reaches
+    4032 (16 M entries) and 28224 (797 M entries, representative 282),
+    whose list takes 0.05 s; both are refused."""
     if "aut" in X._cache:
         return X._cache["aut"]
+    pairs = _xmod_aut_pairs(X)
+    if len(pairs) > XMOD_AUT_TABLE_CAP:
+        raise CapExceededError(
+            f"|Aut X| = {len(pairs)} exceeds the table cap of "
+            f"{XMOD_AUT_TABLE_CAP}")
     g1 = X.g1
     id_pair = (tuple(g1.elements), tuple(X.g0.elements))
     auts = [identity_morphism(X)]
     elements = [id_pair]
-    for beta, img in _xmod_aut_pairs(X):
+    for beta, img in pairs:
         pair = (img, beta.image_of)
         if pair != id_pair:
             alpha = GroupHom(g1, g1, img, check=False)

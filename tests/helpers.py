@@ -125,6 +125,31 @@ def all_pairs_derived_of(X, S):
     )
 
 
+# --- all-pairs normality, the oracle of the checks on generators ---
+
+
+def all_pairs_is_normal(S):
+    """Whether every element of the parent conjugates every member of S
+    into S."""
+    par = S.parent
+    return all(par.conj(g, h) in S.member_set
+               for g in par.elements for h in S.members)
+
+
+def all_pairs_is_normal_subxmod(X, S):
+    """S0 normal in G0, every element of G0 maps every member of S1 into
+    S1, and every member of S0 displaces every element of G1 into S1."""
+    if not all_pairs_is_normal(S.s0):
+        return False
+    s1set = S.s1.member_set
+    if any(X.action[x][a] not in s1set
+           for x in X.g0.elements for a in S.s1.members):
+        return False
+    mul1, inv1 = X.g1.mul, X.g1.inv
+    return all(mul1[X.action[x][a]][inv1[a]] in s1set
+               for x in S.s0.members for a in X.g1.elements)
+
+
 # --- census oracles: the raw path, module by module ---
 
 

@@ -12,6 +12,7 @@ from itertools import product as iproduct
 import pytest
 
 from helpers import (
+    all_pairs_is_normal,
     group_lower_central_series,
     group_middle_length,
     group_nilpotency_class,
@@ -202,6 +203,28 @@ def test_subgroup_machinery():
     with pytest.raises(ValueError):
         Subgroup(d8, [0, 1])  # element 1 is a rotation of order 4, not closed
     assert Subgroup(d8, d8.elements).is_full()
+
+
+def test_normality_on_generators_matches_all_pairs():
+    """Subgroup.is_normal conjugates generators by generators only; on every
+    subgroup of a catalog group of order at most 24 generated by one or
+    two elements it must agree with conjugating every member by every
+    element.  Only orders 16, 18, 20 and 24 hold subgroups whose first
+    generator is normalised and whose second is not."""
+    cat = load_catalog()
+    seen = set()
+    for order in range(1, 25):
+        for G in cat.groups_of_order(order):
+            subgroups = {
+                subgroup_generated(G, (a, b)).members
+                for a in G.elements for b in G.elements if a <= b
+            }
+            for members in sorted(subgroups):
+                S = Subgroup(G, members, check=False)
+                want = all_pairs_is_normal(S)
+                assert S.is_normal() == want, (G.catalog_id, members)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_quotient_group():

@@ -22,7 +22,9 @@ from helpers import (
     xm_16_2_swap,
 )
 
+import xmodkit.isoclinism as isoclinism
 from xmodkit.catalog import load_catalog
+from xmodkit.census import census
 from xmodkit.groups import (
     abelian_group,
     center,
@@ -39,6 +41,7 @@ from xmodkit.invariants import (
     rank_of_xmod,
 )
 from xmodkit.isoclinism import (
+    _LADDER,
     ComponentChecks,
     commutator_pairing,
     component_isoclinism_checks,
@@ -234,3 +237,81 @@ def test_group_families_match_record_and_slow_identity_modules(order):
     assert families == GROUP_FAMILIES[order]
     slow = slow_family_partition([identity_xmod(G) for G in groups])
     assert slow == families
+
+
+# --- the ladder of isoclinism invariants ---
+
+
+def ladder_keys(X):
+    return [rung(X) for rung in _LADDER]
+
+
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4), (12, 12), (20, 20)])
+def test_census_families_share_every_ladder_key(pair):
+    result = census(*pair)
+    for fam in result.families:
+        head = ladder_keys(result.representatives[fam[0]])
+        for i in fam[1:]:
+            assert ladder_keys(result.representatives[i]) == head
+
+
+def test_group_families_share_every_ladder_key():
+    cat = load_catalog()
+    for order in sorted(GROUP_FAMILIES):
+        groups = cat.groups_of_order(order)
+        for fam in GROUP_FAMILIES[order]:
+            head = ladder_keys(identity_xmod(groups[fam[0]]))
+            for i in fam[1:]:
+                assert ladder_keys(identity_xmod(groups[i])) == head
+
+
+def test_different_orders_share_every_ladder_key():
+    small, a, b = inversion_module_c8(), xm_16_2_inversion(), xm_16_2_swap()
+    assert small.order() != a.order()
+    assert ladder_keys(small) == ladder_keys(a) == ladder_keys(b)
+
+
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4), (12, 12)])
+def test_witness_is_the_slow_searchs_first(pair):
+    """The derived map forced by a quotient isomorphism is unique, so the
+    ladder and the closure from generating cells must return exactly the
+    first witness of the search over every derived isomorphism."""
+    reps = census(*pair).representatives
+    for x in reps:
+        for y in reps:
+            fast, slow = is_isoclinic_xmod(x, y), slow_isoclinism(x, y)
+            if slow is None:
+                assert fast is None
+            else:
+                assert fast.quotient_iso == slow.quotient_iso
+                assert fast.derived_iso == slow.derived_iso
+
+
+def test_partition_runs_no_search_that_ends_without_a_witness(monkeypatch):
+    """At [12,12] the ladder leaves no pair for the witness search to
+    reject.  Without the pairing-order profile, the first two rungs send
+    12 (member, family head) pairs to a search that exhausts every
+    quotient isomorphism."""
+    reps = census(12, 12).representatives
+    exhausted = []
+    search = isoclinism.all_xmod_isos
+
+    def counting(X, Y):
+        yield from search(X, Y)
+        exhausted.append((X, Y))
+
+    monkeypatch.setattr(isoclinism, "all_xmod_isos", counting)
+    families = xmod_family_partition(reps)
+    assert exhausted == []
+    assert families == slow_family_partition(reps)
+    # the partition compares member i with the heads of the families found
+    # before i, in order, up to its own family
+    own = {i: fam[0] for fam in families for i in fam}
+    heads = [fam[0] for fam in families]
+    two_rungs = 0
+    for i, x in enumerate(reps):
+        for h in heads:
+            if h == own[i]:
+                break
+            two_rungs += all(rung(x) == rung(reps[h]) for rung in _LADDER[:2])
+    assert two_rungs == 12

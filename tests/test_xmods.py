@@ -3,7 +3,12 @@ quotients, isomorphism search, serialization."""
 
 import pytest
 
-from helpers import first_xmod_iso, inversion_module_c8, multiplier_module_c8
+from helpers import (
+    all_pairs_is_normal_subxmod,
+    first_xmod_iso,
+    inversion_module_c8,
+    multiplier_module_c8,
+)
 from xmodkit.catalog import catalog_group
 from xmodkit.groups import (
     GroupHom,
@@ -22,6 +27,7 @@ from xmodkit.groups import (
 )
 from xmodkit.xmods import (
     CrossedModule,
+    SubXMod,
     XModAxiomError,
     XModMorphism,
     all_xmod_isos,
@@ -299,6 +305,38 @@ def test_sub_and_normal_subxmod():
     assert trivial_subxmod(x).is_trivial()
 
 
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4), (12, 12), (20, 20)])
+def test_normality_on_generators_matches_all_pairs(pair):
+    """is_normal_subxmod checks generators only; the all-pairs oracle must
+    agree on every centre, derived and lower-central term of each
+    representative, and on pairs of cyclic subgroups (<a> -> <x>), most
+    of them not normal: every pair at [4,4] and [8,4], and (<a> -> 1)
+    and (1 -> <x>) at [12,12] and [20,20]."""
+    from xmodkit.census import census
+    from xmodkit.invariants import center_xmod, derived_subxmod, lower_central_series
+
+    seen = set()
+    for X in census(*pair).representatives:
+        for S in (center_xmod(X), derived_subxmod(X),
+                  *lower_central_series(X).terms):
+            assert is_normal_subxmod(X, S) and all_pairs_is_normal_subxmod(X, S)
+        cyclic1 = [subgroup_generated(X.g1, [a]) for a in X.g1.elements]
+        cyclic0 = [subgroup_generated(X.g0, [x]) for x in X.g0.elements]
+        if pair in ((4, 4), (8, 4)):
+            levels = [(s1, s0) for s1 in cyclic1 for s0 in cyclic0]
+        else:
+            levels = [(s1, cyclic0[0]) for s1 in cyclic1]
+            levels += [(cyclic1[0], s0) for s0 in cyclic0]
+        for s1, s0 in levels:
+            # fresh subgroups, so no cached normality is read
+            S = SubXMod(X, Subgroup(X.g1, s1.members, check=False),
+                        Subgroup(X.g0, s0.members, check=False))
+            want = all_pairs_is_normal_subxmod(X, S)
+            assert is_normal_subxmod(X, S) == want, (s1.members, s0.members)
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_quotient_xmod():
     d8 = catalog_group(8, 3)
     x = identity_xmod(d8)
@@ -393,9 +431,31 @@ def test_self_isomorphisms_reuse_the_automorphism_list(monkeypatch):
     def refuse(*_):
         raise AssertionError("Aut(G0) searched again")
 
-    monkeypatch.setattr(xmods_module, "all_isos", refuse)
+    monkeypatch.setattr(xmods_module, "_iter_isos", refuse)
     x = identity_xmod(catalog_group(8, 3))
     assert sum(1 for _ in all_xmod_isos(x, x)) == 8
+
+
+def test_automorphism_table_too_large_fails_fast(census88):
+    """[8,8] representative 282 has |Aut X| = 28224, a 797 M-entry Cayley
+    table; the cap refuses it from the automorphism list, in well under a
+    second, while 2304, the largest |Aut X| at [9,9], is admitted."""
+    import time
+
+    from xmodkit.groups import CapExceededError
+    from xmodkit.xmods import XMOD_AUT_TABLE_CAP
+
+    assert 2304 <= XMOD_AUT_TABLE_CAP < 28224
+    X = census88.representatives[282]
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="28224"):
+        xmod_automorphism_group(X)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_identity_module_built_once_per_group():
+    G = catalog_group(8, 3)
+    assert identity_xmod(G) is identity_xmod(G)
 
 
 def test_module_xmod_automorphisms():
