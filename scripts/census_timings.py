@@ -1,12 +1,14 @@
-"""Time census(n, m) for order pairs, each in a fresh interpreter.
+"""Time census(n, m) for order pairs, each run in a fresh interpreter.
 
 For every pair given on the command line a child process imports xmodkit
-from SRC, runs census(n, m) with no cache directory, and reports the
-counts (raw, classes, families), the seconds the call took and the
-process's peak resident memory (ru_maxrss).  One JSON object keyed "n,m"
-is printed when every pair is done, plus the machine's nproc and Python
-version.  A pair that runs past TIMEOUT_S seconds is stopped and reported
-with "timeout"; one that exceeds MAX_MIB MiB of address space reports the
+from SRC and runs census(n, m) with no cache directory, REPEATS times,
+since one run does not resolve a change on a VM whose speed drifts.  The
+pair reports the counts (raw, classes, families), the median seconds the
+call took with the min-max range, and the largest peak resident memory
+(ru_maxrss) of its runs.  One JSON object keyed "n,m" is printed when
+every pair is done, plus the machine's nproc and Python version.  A run
+that goes past TIMEOUT_S seconds is stopped and its pair reported with
+"timeout"; one that exceeds MAX_MIB MiB of address space reports the
 child's error.
 
 Run from the repository root:
@@ -21,12 +23,14 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT_S = 300
+REPEATS = 3
 MAX_MIB = 2048
 
 _CHILD = """
@@ -44,7 +48,7 @@ print(json.dumps({"counts": counts, "seconds": round(seconds, 3),
 """
 
 
-def time_pair(src: Path, n: int, m: int) -> dict:
+def run_once(src: Path, n: int, m: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", _CHILD, str(n), str(m), str(MAX_MIB)]
     try:
@@ -56,6 +60,20 @@ def time_pair(src: Path, n: int, m: int) -> dict:
         lines = done.stderr.strip().splitlines()
         return {"error": lines[-1] if lines else f"exit {done.returncode}"}
     return json.loads(done.stdout)
+
+
+def time_pair(src: Path, n: int, m: int) -> dict:
+    runs = []
+    for _ in range(REPEATS):
+        run = run_once(src, n, m)
+        if "counts" not in run:
+            return run
+        runs.append(run)
+    seconds = sorted(run["seconds"] for run in runs)
+    return {"counts": runs[0]["counts"],
+            "seconds": round(statistics.median(seconds), 3),
+            "range": [seconds[0], seconds[-1]],
+            "maxrss_mib": max(run["maxrss_mib"] for run in runs)}
 
 
 def parse_pair(text: str) -> tuple[int, int]:

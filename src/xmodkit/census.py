@@ -148,13 +148,15 @@ class RawKeys:
 
     keys[i] = (G1, G0, d, phi) stands for raw module i of all_xmods:
     catalog groups G1 and G0, the boundary image table d, and the action
-    as a table phi of indices into automorphisms(G1).  make_xmod has
-    validated none of them; build(i) constructs and validates one, and
-    reduce_by_isomorphism builds only the class representatives.
+    as a table phi of indices into automorphisms(G1).  classes[i] is its
+    isomorphism class, numbered in order of first appearance.  make_xmod
+    has validated none of them; build(i) constructs and validates one,
+    and reduce_by_isomorphism builds only the class representatives.
     """
 
     order_pair: tuple[int, int]
     keys: list
+    classes: list
     catalog_version: str = ""
     engine_version: str = ENGINE_VERSION
 
@@ -295,65 +297,110 @@ def _key_moves(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
 
 def _action_orbits(G1: FiniteGroup, G0: FiniteGroup, actions, moves):
     """The orbits of Aut(G1) x Aut(G0) through actions, in the order of
-    their first member in actions, each as (members, index, edges) of
-    _closure under the action maps of moves (_key_moves) from that member:
-    members[0] is the orbit's root and edges its Schreier tree.  Orbits are
-    disjoint, so an action already walked starts none.
+    their first member in actions, each as (members, edges, targets): the
+    _closure under the action maps of moves (_key_moves) from the root
+    members[0], its Schreier tree, and targets[j][c], the position of
+    move j applied to members[c], recorded as the walk applies it.  An
+    action already walked starts no orbit.
     """
-    steps = [act for act, _ in moves]
     most = len(_aut_tables(G1)) * len(_aut_tables(G0))  # bounds any orbit
     unwalked = set(actions)
     for phi in actions:
         if phi in unwalked:
-            orbit = _closure(phi, steps, most)
-            unwalked.difference_update(orbit[0])
-            yield orbit
+            position = {phi: 0}  # numbered as _closure numbers them
+            targets = [[] for _ in moves]
+            steps = [_recording(act, position, row)
+                     for (act, _), row in zip(moves, targets)]
+            members, _, edges = _closure(phi, steps, most)
+            unwalked.difference_update(members)
+            yield members, edges, targets
 
 
-def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> list[tuple]:
+def _recording(step, position: dict, targets: list):
+    """step, appending the position of each image it returns to targets."""
+    def recorded(x):
+        y = step(x)
+        targets.append(position.setdefault(y, len(position)))
+        return y
+    return recorded
+
+
+def _stabilizer_classes(edges, targets, at, moved) -> list[int]:
+    """Per root position of an action orbit, the least position in its
+    orbit under the root's stabilizer.  at[t][p] is the all_homs position
+    of the boundary that the tree path g_t to member t maps root position
+    p to.  A non-tree edge j from c to t gives the Schreier generator
+    g_t^-1 gen_j g_c of the stabilizer (Schreier's lemma), which maps p to
+    the root position at t of moved[j][at[c][p]].
+    """
+    where = [dict(zip(hs, itertools.count())) for hs in at]
+    schreier = set()
+    for j, row in enumerate(targets):
+        for c, t in enumerate(row):
+            if edges[t] != (c, j):
+                try:
+                    schreier.add(tuple(where[t][moved[j][h]] for h in at[c]))
+                except KeyError:
+                    raise CensusError("the boundaries of an action orbit are "
+                                      "not closed under its stabilizer") from None
+    steps = [s.__getitem__ for s in schreier]
+    label = list(range(len(at[0])))
+    for p in range(len(label)):
+        if label[p] == p:
+            for q in _closure(p, steps, len(label))[0]:
+                label[q] = p
+    return label
+
+
+def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> tuple[list, list[int]]:
     """Keys (boundary image table, action) of the crossed modules on
-    (G1, G0), in all_xmods order: actions in _action_tables order, and the
-    boundaries of each action in all_homs order.
+    (G1, G0) in all_xmods order (actions in _action_tables order, the
+    boundaries of each in all_homs order), and the isomorphism class of
+    each key, numbered in order of first appearance.
 
-    The actions fall into orbits of Aut(G1) x Aut(G0), and (alpha, beta)
-    maps the boundaries compatible with phi one to one onto those
-    compatible with (alpha, beta).phi, by d -> beta d alpha^-1.  So each
-    orbit is walked (_action_orbits) from its least-index action,
-    boundaries are scanned (_stage1_scan) for that action only, and they
-    are carried along the edges of the walk's Schreier tree to every other
-    member.
+    (alpha, beta) in Aut(G1) x Aut(G0) maps the boundaries compatible with
+    phi one to one onto those compatible with (alpha, beta).phi, by
+    d -> beta d alpha^-1.  So boundaries are scanned (_stage1_scan) only at
+    the root of each action orbit (_action_orbits) and carried along its
+    Schreier tree.  Two modules are isomorphic exactly when some
+    (alpha, beta) maps one to the other, so the classes over an orbit are
+    the root stabilizer's orbits on its boundaries (_stabilizer_classes).
     """
     actions = _action_tables(G0, G1)
     boundaries = [h.image_of for h in all_homs(G1, G0)]
     hom_position = {d: i for i, d in enumerate(boundaries)}
     moves = _key_moves(G1, G0)
+    moved = [[hom_position.get(move(d)) for d in boundaries]  # on positions
+             for _, move in moves]
+    if any(None in row for row in moved):
+        raise CensusError("a moved boundary is not a homomorphism G1 -> G0")
     listed = set(actions)
-    orbits = []
-    for members, _, edges in _action_orbits(G1, G0, actions, moves):
-        if not listed.issuperset(members):
-            raise CensusError(
-                "an orbit of Aut(G1) x Aut(G0) leaves the action list"
-            )
-        orbits.append((members, edges))
-    scanned: dict = {}
-    roots = [members[0] for members, _ in orbits]
-    for phi, d in _stage1_scan(G1, G0, roots, boundaries):
-        scanned.setdefault(phi, []).append(d)
-    found: dict = {}
-    for members, edges in orbits:
-        carried = [scanned.get(members[0], [])]
-        if not carried[0]:
+    orbits = list(_action_orbits(G1, G0, actions, moves))
+    if not all(listed.issuperset(members) for members, _, _ in orbits):
+        raise CensusError("an orbit of Aut(G1) x Aut(G0) leaves the action list")
+    scanned: dict = {}  # root action -> all_homs positions of its boundaries
+    for phi, d in _stage1_scan(G1, G0, [o[0][0] for o in orbits], boundaries):
+        scanned.setdefault(phi, []).append(hom_position[d])
+    found: dict = {}  # action -> (orbit, all_homs position by root position)
+    labels = []  # per orbit with modules, the class of each root position
+    for members, edges, targets in orbits:
+        at = [scanned.get(members[0], [])]
+        if not at[0]:
             continue
         for c, j in edges[1:]:
-            carried.append(list(map(moves[j][1], carried[c])))
-        for phi, ds in zip(members, carried):
-            try:
-                found[phi] = sorted(ds, key=hom_position.__getitem__)
-            except KeyError:
-                raise CensusError(
-                    "a transported boundary is not a homomorphism G1 -> G0"
-                ) from None
-    return [(d, phi) for phi in actions for d in found.get(phi, ())]
+            at.append([moved[j][h] for h in at[c]])
+        for phi, hs in zip(members, at):
+            found[phi] = (len(labels), hs)
+        labels.append(_stabilizer_classes(edges, targets, at, moved)
+                      if len(at[0]) > 1 else [0])
+    keys, classes, number = [], [], {}
+    for phi in actions:
+        if phi in found:
+            o, hs = found[phi]
+            for p in sorted(range(len(hs)), key=hs.__getitem__):
+                keys.append((boundaries[hs[p]], phi))
+                classes.append(number.setdefault((o, labels[o][p]), len(number)))
+    return keys, classes
 
 
 def _catalog_pairs(cat: GroupCatalog, n: int, m: int) -> list[tuple]:
@@ -377,83 +424,21 @@ def all_xmods(
     homomorphisms G0 -> Aut(G1), and boundary homomorphisms G1 -> G0
     jointly satisfying CM1 and CM2, found by _pair_keys with one boundary
     scan per action orbit.  The order of the output is deterministic.  The
-    modules are returned unbuilt, as RawKeys; reduce_by_isomorphism builds
-    and validates the class representatives.
+    modules are returned unbuilt, with their isomorphism classes, as
+    RawKeys; reduce_by_isomorphism builds the class representatives.
     """
     cat = catalog if catalog is not None else load_catalog()
-    return RawKeys(
-        order_pair=(n, m),
-        keys=[(G1, G0, d, phi) for G1, G0 in _catalog_pairs(cat, n, m)
-              for d, phi in _pair_keys(G1, G0)],
-        catalog_version=cat.version,
-    )
+    keys, classes, offset = [], [], 0  # offset: the earlier pairs' classes
+    for G1, G0 in _catalog_pairs(cat, n, m):
+        pair_keys, pair_classes = _pair_keys(G1, G0)
+        keys += [(G1, G0, d, phi) for d, phi in pair_keys]
+        classes += [offset + c for c in pair_classes]
+        offset += max(pair_classes, default=-1) + 1
+    return RawKeys(order_pair=(n, m), keys=keys, classes=classes,
+                   catalog_version=cat.version)
 
 
 # --- stage 2: isomorphism reduction ---
-
-
-def _not_closed(i: int) -> CensusError:
-    return CensusError(
-        f"raw module {i} maps outside the raw set: the enumeration is not "
-        "closed under Aut(G1) x Aut(G0)"
-    )
-
-
-def _pair_classes(G1: FiniteGroup, G0: FiniteGroup, by_action: dict,
-                  keys: list, labels: list) -> None:
-    """Set labels[i] to the same raw index for the raw modules keys[i] on
-    (G1, G0) that are isomorphic, and to different ones otherwise.
-
-    by_action maps each action of those modules to {boundary: raw index}.
-    Modules on one pair are isomorphic exactly when they share an orbit of
-    Aut(G1) x Aut(G0) acting by
-
-        (alpha, beta).(d, phi) = (beta d alpha^-1,
-                                  y -> alpha phi(beta^-1 y) alpha^-1).
-
-    Each action orbit is walked as in the enumeration (_action_orbits),
-    and the root action's modules are carried along the tree edges: the
-    tree path g_t to member t maps the module at root position p to
-    carried[t][p].  A non-tree edge j from member c to member t gives the
-    Schreier generator g_t^-1 gen_j g_c of the root's stabilizer, which
-    maps p to the position of gen_j carried[c][p] at t; these generate the
-    stabilizer (Schreier's lemma).  The orbits of those permutations of
-    the root positions, walked by _closure, are the stabilizer's orbits on
-    the root's modules, and each, carried to every member, is one class.
-    """
-    moves = _key_moves(G1, G0)
-    for members, index, edges in _action_orbits(G1, G0, by_action, moves):
-        at = [by_action.get(phi, {}) for phi in members]
-        carried = [list(at[0].values())]  # raw indices by root position
-        for t, (c, j) in enumerate(edges[1:], 1):
-            carried.append([at[t].get(moves[j][1](keys[i][2]))
-                            for i in carried[c]])
-            if None in carried[t]:
-                raise _not_closed(carried[c][carried[t].index(None)])
-            if len(at[t]) != len(carried[t]):
-                raise _not_closed(min(set(at[t].values()) - set(carried[t])))
-        for row in carried:
-            for p, i in enumerate(row):
-                labels[i] = p  # the position, until the classes are known
-        schreier = set()  # the stabilizer's generators, on root positions
-        for c, phi in enumerate(members):
-            for j, (act_move, bound_move) in enumerate(moves):
-                t = index[act_move(phi)]
-                if edges[t] != (c, j):
-                    moved = [at[t].get(bound_move(keys[i][2]))
-                             for i in carried[c]]
-                    if None in moved:
-                        raise _not_closed(carried[c][moved.index(None)])
-                    schreier.add(tuple(labels[i] for i in moved))
-        steps = [s.__getitem__ for s in schreier]
-        label = [None] * len(carried[0])
-        for p, i in enumerate(carried[0]):
-            if label[p] is None:
-                for q in _closure(p, steps, len(label))[0]:
-                    label[q] = i
-        for row in carried:
-            for p, i in enumerate(row):
-                labels[i] = label[p]
 
 
 def _classes(labels: Sequence, build) -> tuple[list, tuple[int, ...]]:
@@ -473,29 +458,24 @@ def _classes(labels: Sequence, build) -> tuple[list, tuple[int, ...]]:
 def reduce_by_isomorphism(raw: RawKeys) -> CensusResult:
     """First representative of each isomorphism class, plus the class map.
 
-    raw is the RawKeys of all_xmods.  Modules on different catalog groups
-    are never isomorphic, and those on one pair of groups fall into
-    classes by _pair_classes.  Each class keeps its lowest raw index, and
-    make_xmod builds and validates only those representatives.
+    raw is the RawKeys of all_xmods, whose classes the enumeration's
+    orbit walk has already found (_pair_keys).  Each class keeps its
+    lowest raw index, and make_xmod builds and validates only those
+    representatives.
     """
     if not isinstance(raw, RawKeys):
         raise TypeError("reduce_by_isomorphism takes the RawKeys of all_xmods")
-    by_pair: dict = {}  # (G1, G0) -> action -> boundary -> raw index
-    for i, (G1, G0, d, phi) in enumerate(raw.keys):
-        at = by_pair.setdefault((G1, G0), {}).setdefault(phi, {})
-        if d in at:
-            raise CensusError(f"raw module {i} repeats raw module {at[d]}")
-        at[d] = i
-    for level in (0, 1):
-        groups = list(dict.fromkeys(pair[level] for pair in by_pair))
+    first: dict = {}  # key -> its raw index
+    for i, key in enumerate(raw.keys):
+        if first.setdefault(key, i) != i:
+            raise CensusError(f"raw module {i} repeats raw module {first[key]}")
+    for level in (0, 1):  # orbits never join modules on distinct groups
+        groups = list(dict.fromkeys(key[level] for key in first))
         for G, H in itertools.combinations(groups, 2):
             if (group_fingerprint(G) == group_fingerprint(H)
                     and first_iso(G, H) is not None):
                 raise CensusError("raw modules lie on distinct isomorphic groups")
-    labels: list = [None] * raw.raw_count
-    for pair in list(by_pair):  # each pair's index is freed once used
-        _pair_classes(*pair, by_pair.pop(pair), raw.keys, labels)
-    reps, class_map = _classes(labels, raw.build)
+    reps, class_map = _classes(raw.classes, raw.build)
     return CensusResult(
         order_pair=raw.order_pair,
         raw_count=raw.raw_count,

@@ -378,6 +378,9 @@ def _closure(
     """The breadth-first closure of identity under steps, one map per
     generator taking an element to its product with that generator.
 
+    Without known, every step is applied once to each element in turn, and
+    a new element takes the next number when first met.
+
     Returns (elements, index, edges), the identity first.  edges[t] = (c, j)
     is the edge that first reached elements[t] = steps[j](elements[c]), with
     c < t, so the edges form a Schreier tree of the closure; edges[0] is

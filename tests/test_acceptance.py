@@ -253,6 +253,25 @@ def test_criterion_5_observed_family_structure(census88):
     assert observed == sorted(OBSERVED_8_8)
 
 
+def test_criterion_5_merged_rows_rerun_by_the_slow_search(census88):
+    # the witnesses behind Known discrepancy 1, re-run by the search with
+    # no invariant ladder: in both observed families with the profile of
+    # the two printed size-4 rows, every member is isoclinic to its head
+    # by a witness that re-validates, and the two heads are not isoclinic
+    reps = census88.representatives
+    profile = ((8, 4), (2, 1), 3, (4, 4), ((4, 1), (2, 1)))
+    same = [fam for fam, report in zip(census88.families, census88.reports)
+            if family_profile(report)[1:] == profile]
+    assert sorted(map(len, same)) == [8, 8]
+    for fam in same:
+        head = reps[fam[0]]
+        for i in fam[1:]:
+            witness = slow_isoclinism(reps[i], head)
+            assert witness is not None
+            assert validate_witness(reps[i], head, witness)
+    assert slow_isoclinism(reps[same[0][0]], reps[same[1][0]]) is None
+
+
 def test_criterion_6_census_18_18(census1818, census_times):
     assert census1818.counts() == (2222, 97, 46)
     observed = sorted(family_profile(r) for r in census1818.reports)

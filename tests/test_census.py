@@ -15,6 +15,7 @@ Frozen expectations:
 import collections
 import importlib
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -89,13 +90,42 @@ def test_action_search_matches_all_homs_into_the_aut_table():
         assert _action_tables(G0, G1) == expected
 
 
+def first_appearance(labels):
+    number = {}
+    return [number.setdefault(label, len(number)) for label in labels]
+
+
 def test_transported_keys_match_the_full_scan():
     # boundaries scanned once per action orbit and carried to the other
-    # members are exactly those the scan finds for every action, in order
+    # members are exactly those the scan finds for every action, in order,
+    # and the classes read from the walk are the key-level union-find's
     for G1, G0 in search_pairs():
         boundaries = [h.image_of for h in all_homs(G1, G0)]
         scan = _stage1_scan(G1, G0, _action_tables(G0, G1), boundaries)
-        assert _pair_keys(G1, G0) == [(d, phi) for phi, d in scan]
+        keys, classes = _pair_keys(G1, G0)
+        assert keys == [(d, phi) for phi, d in scan]
+        roots = union_find_roots([(G1, G0, d, phi) for d, phi in keys])
+        assert classes == first_appearance(roots)
+
+
+@pytest.mark.parametrize("pair", [(8, 4), (12, 12)])
+def test_census_walks_each_action_orbit_once(pair, monkeypatch):
+    # the classes come from the enumeration's own walk, so neither the
+    # orbits nor the moves are formed a second time for the reduction
+    module = importlib.import_module("xmodkit.census")
+    calls = {"_action_orbits": [], "_key_moves": []}
+    for name, seen in calls.items():
+        def counting(G1, G0, *args, real=getattr(module, name), seen=seen):
+            seen.append((G1.catalog_id, G0.catalog_id))
+            return real(G1, G0, *args)
+        monkeypatch.setattr(module, name, counting)
+    census(*pair)
+    cat = load_catalog()
+    pairs = [(G1.catalog_id, G0.catalog_id)
+             for G1 in cat.groups_of_order(pair[0])
+             for G0 in cat.groups_of_order(pair[1])]
+    for seen in calls.values():
+        assert seen == pairs
 
 
 def test_census_rejects_an_action_list_not_closed_under_automorphisms(
@@ -281,35 +311,77 @@ def test_orbit_stabilizer_certificate_18_18(census1818):
     assert_orbit_stabilizer(census1818)
 
 
-def without_key(raw, i):
-    return RawKeys(order_pair=raw.order_pair,
-                   keys=raw.keys[:i] + raw.keys[i + 1:])
+def root_scan_hits(pair, monkeypatch):
+    """The key of every boundary the scan finds at an orbit's root, in
+    scan order."""
+    module = importlib.import_module("xmodkit.census")
+    hits = []
+
+    def recording(G1, G0, *args):
+        found = _stage1_scan(G1, G0, *args)
+        hits.extend((G1, G0, d, phi) for phi, d in found)
+        return found
+    monkeypatch.setattr(module, "_stage1_scan", recording)
+    all_xmods(*pair)
+    monkeypatch.setattr(module, "_stage1_scan", _stage1_scan)
+    return hits
 
 
-def test_reduction_rejects_raw_set_not_closed_under_automorphisms():
+def drop_root_scan_hit(k, monkeypatch):
+    """Make the root scan skip its k-th hit, counted over the next
+    enumeration."""
+    module = importlib.import_module("xmodkit.census")
+    count = itertools.count()
+    monkeypatch.setattr(module, "_stage1_scan", lambda *args: [
+        hit for hit in _stage1_scan(*args) if next(count) != k])
+
+
+def class_members(raw, roots, key):
+    """The keys in the class of `key`, by the key-level union-find
+    `roots`."""
+    root = roots[raw.keys.index(key)]
+    return [other for other, r in zip(raw.keys, roots) if r == root]
+
+
+def repeats_an_action(members):
+    actions = [phi for _, _, _, phi in members]
+    return len(set(actions)) < len(actions)
+
+
+def test_reduction_rejects_raw_set_not_closed_under_automorphisms(
+        monkeypatch):
+    # the isomorphism reduction's closure check runs in the enumeration's
+    # walk: without one root boundary of a class that repeats an action,
+    # the carried boundaries are not closed and the census raises
     raw = all_xmods(4, 4)
-    reduced = reduce_by_isomorphism(raw)
-    # a module that is not its class's representative has a nontrivial orbit
-    i = next(i for i, r in enumerate(reduced.class_map)
-             if r in reduced.class_map[:i])
+    roots = union_find_roots(raw.keys)
+    hits = root_scan_hits((4, 4), monkeypatch)
+    k = next(k for k, key in enumerate(hits)
+             if repeats_an_action(class_members(raw, roots, key)))
+    drop_root_scan_hit(k, monkeypatch)
     with pytest.raises(CensusError, match="not closed"):
-        reduce_by_isomorphism(without_key(raw, i))
+        reduce_by_isomorphism(all_xmods(4, 4))
 
 
 @pytest.mark.parametrize("pair", [(4, 4), (8, 4)])
-def test_reduction_rejects_every_dropped_key_of_a_larger_class(pair):
-    # dropping a key leaves the raw set closed exactly when the key's
-    # class, by the key-level union-find, is that key alone
+def test_reduction_rejects_every_dropped_key_of_a_larger_class(
+        pair, monkeypatch):
+    # drop each boundary the scan finds at an orbit's root in turn: the
+    # carried boundaries stay closed under Aut(G1) x Aut(G0) exactly when
+    # the dropped module's class, by the key-level union-find, holds no
+    # two keys with the same action; otherwise the class goes whole
     raw = all_xmods(*pair)
     roots = union_find_roots(raw.keys)
-    class_size = collections.Counter(roots)
-    for i, root in enumerate(roots):
-        if class_size[root] > 1:
+    for k, key in enumerate(root_scan_hits(pair, monkeypatch)):
+        drop_root_scan_hit(k, monkeypatch)
+        members = class_members(raw, roots, key)
+        if repeats_an_action(members):
             with pytest.raises(CensusError, match="not closed"):
-                reduce_by_isomorphism(without_key(raw, i))
+                reduce_by_isomorphism(all_xmods(*pair))
         else:
-            kept = reduce_by_isomorphism(without_key(raw, i))
-            assert kept.raw_count == raw.raw_count - 1
+            kept = reduce_by_isomorphism(all_xmods(*pair))
+            assert kept.raw_count == raw.raw_count - len(members)
+            assert len(set(kept.class_map)) == len(set(roots)) - 1
 
 
 def test_reduction_takes_only_raw_keys():
@@ -321,7 +393,8 @@ def test_reduction_takes_only_raw_keys():
 
 def test_reduction_rejects_a_repeated_key():
     raw = all_xmods(2, 2)
-    repeated = RawKeys(order_pair=(2, 2), keys=raw.keys + raw.keys[:1])
+    repeated = RawKeys(order_pair=(2, 2), keys=raw.keys + raw.keys[:1],
+                       classes=raw.classes + raw.classes[:1])
     with pytest.raises(CensusError, match="repeats raw module 0"):
         reduce_by_isomorphism(repeated)
 
@@ -331,7 +404,7 @@ def test_reduction_rejects_isomorphic_distinct_groups():
     s3, t3 = symmetric_group(3), relabeled_s3()
     assert s3.mul != t3.mul
     built = [identity_xmod(s3), identity_xmod(t3)]
-    raw = RawKeys(order_pair=(6, 6), keys=module_keys(built))
+    raw = RawKeys(order_pair=(6, 6), keys=module_keys(built), classes=[0, 1])
     with pytest.raises(CensusError, match="isomorphic groups"):
         reduce_by_isomorphism(raw)
     assert pairwise_roots(built) == [0, 0]
