@@ -26,12 +26,14 @@ from xmodkit import __version__ as ENGINE_VERSION
 from .catalog import GroupCatalog, load_catalog
 from .groups import (
     FiniteGroup,
+    _aut_index,
+    _aut_orders,
+    _aut_tables,
     _extensions,
     _OnDemandTable,
     _closure,
     all_homs,
     automorphism_generators,
-    automorphisms,
     center,
     compose_perms,
     first_iso,
@@ -168,35 +170,6 @@ class RawKeys:
         G1, G0, d, phi = self.keys[i]
         tables = _aut_tables(G1)
         return make_xmod(G1, G0, d, tuple(tables[j] for j in phi))
-
-
-def _aut_tables(G: FiniteGroup) -> tuple:
-    if "auttables" not in G._cache:
-        G._cache["auttables"] = tuple(f.image_of for f in automorphisms(G))
-    return G._cache["auttables"]
-
-
-def _aut_index(G: FiniteGroup) -> dict:
-    """Position of each automorphism image table in _aut_tables(G)."""
-    if "autindex" not in G._cache:
-        G._cache["autindex"] = {t: i for i, t in enumerate(_aut_tables(G))}
-    return G._cache["autindex"]
-
-
-def _aut_orders(G: FiniteGroup) -> tuple[int, ...]:
-    """Order of each automorphism in _aut_tables(G); computed once per
-    group, not once per G0 that acts on it."""
-    if "autorders" not in G._cache:
-        tables = _aut_tables(G)
-        orders = []
-        for t in tables:
-            k, power = 1, t
-            while power != tables[0]:
-                power = compose_perms(t, power)
-                k += 1
-            orders.append(k)
-        G._cache["autorders"] = tuple(orders)
-    return G._cache["autorders"]
 
 
 def _action_tables(G0: FiniteGroup, G1: FiniteGroup) -> list[tuple[int, ...]]:

@@ -24,12 +24,14 @@ from .groups import (
     _OnDemandTable,
     compose_perms,
     generating_sequence,
+    memoised,
 )
 from .xmods import (
     CrossedModule,
     SubXMod,
     WellDefinednessError,
     XModMorphism,
+    _xmod_auts,
     make_xmod,
     sub_xmod,
     xmod_automorphism_group,
@@ -157,6 +159,7 @@ class DerivationMonoid:
         return len(self.elements)
 
 
+@memoised
 def all_derivations(X: CrossedModule):
     """Every derivation, as a DerivationMonoid; element 0 is the zero
     derivation and the rest follow in ascending table order.
@@ -173,8 +176,6 @@ def all_derivations(X: CrossedModule):
     and by the search once it finds more than AUT_TABLE_CAP derivations,
     before the |monoid|^2 circle-product table is built.
     """
-    if "dermonoid" in X._cache:
-        return X._cache["dermonoid"]
     if X.g0.order > DERIVATION_CAP or X.g1.order > DERIVATION_CAP:
         raise CapExceededError(
             f"derivation search capped at order {DERIVATION_CAP}, got "
@@ -222,9 +223,7 @@ def all_derivations(X: CrossedModule):
         if None in column:
             raise RuntimeError("circle product left the derivation set")
         columns.append(column)
-    monoid = DerivationMonoid(X, elements, tuple(zip(*columns)))
-    X._cache["dermonoid"] = monoid
-    return monoid
+    return DerivationMonoid(X, elements, tuple(zip(*columns)))
 
 
 @dataclass(eq=False)
@@ -240,9 +239,8 @@ class WhiteheadGroup:
         return self.carrier.order
 
 
+@memoised
 def whitehead_group(X: CrossedModule):
-    if "whitehead" in X._cache:
-        return X._cache["whitehead"]
     monoid = all_derivations(X)
     units = monoid.unit_indices()
     pos = {u: k for k, u in enumerate(units)}
@@ -255,9 +253,7 @@ def whitehead_group(X: CrossedModule):
         raise RuntimeError("unit product fell outside the units") from None
     carrier = FiniteGroup._of_table(table)
     members = tuple(monoid.elements[u] for u in units)
-    result = WhiteheadGroup(carrier, members, monoid)
-    X._cache["whitehead"] = result
-    return result
+    return WhiteheadGroup(carrier, members, monoid)
 
 
 @dataclass(eq=False)
@@ -274,13 +270,7 @@ class ActorXMod:
     automorphisms: tuple
 
 
-def _aut_index(morphisms) -> dict:
-    return {
-        (m.alpha.image_of, m.beta.image_of): j
-        for j, m in enumerate(morphisms)
-    }
-
-
+@memoised
 def actor(X: CrossedModule) -> ActorXMod:
     """The crossed module (Whitehead group -> Aut(X)).
 
@@ -288,11 +278,9 @@ def actor(X: CrossedModule) -> ActorXMod:
     (a -> der(boundary(a)) * a, x -> boundary(der(x)) * x); an
     automorphism pair (alpha, beta) acts by alpha o der o beta^-1.
     """
-    if "actor" in X._cache:
-        return X._cache["actor"]
     w = whitehead_group(X)
     auts, morphisms = xmod_automorphism_group(X)
-    aut_of = _aut_index(morphisms)
+    aut_of = _xmod_auts(X)[1]
     mul0, mul1, bnd = X.g0.mul, X.g1.mul, X.boundary.image_of
     boundary = []
     for der in w.member_derivations:
@@ -331,9 +319,7 @@ def actor(X: CrossedModule) -> ActorXMod:
     for t, (c, j) in zip(reached[1:], edges[1:]):
         rows[t] = compose_perms(gen_rows[j], rows[reached[c]])
     xm = make_xmod(w.carrier, auts, tuple(boundary), rows)
-    result = ActorXMod(xm, w, w.member_derivations, tuple(morphisms))
-    X._cache["actor"] = result
-    return result
+    return ActorXMod(xm, w, w.member_derivations, tuple(morphisms))
 
 
 def _inner_derivation_table(X: CrossedModule, g1: int) -> tuple:
@@ -354,7 +340,7 @@ def canonical_morphism(X: CrossedModule) -> XModMorphism:
     """The morphism X -> actor: inner derivations over conjugation pairs."""
     act_x = actor(X)
     der_of = {d.image_of: k for k, d in enumerate(act_x.derivations)}
-    aut_of = _aut_index(act_x.automorphisms)
+    aut_of = _xmod_auts(X)[1]
     alpha = []
     for g1 in X.g1.elements:
         k = der_of.get(_inner_derivation_table(X, g1))
@@ -401,8 +387,8 @@ def class_preserving_derivations(X: CrossedModule) -> Subgroup:
 
 def class_preserving_auts(X: CrossedModule) -> Subgroup:
     """Action/conjugation pairs inside Aut(X); axioms re-verified."""
-    auts, morphisms = xmod_automorphism_group(X)
-    aut_of = _aut_index(morphisms)
+    auts, _ = xmod_automorphism_group(X)
+    aut_of = _xmod_auts(X)[1]
     members = set()
     for g0 in X.g0.elements:
         j = aut_of.get(_conjugation_pair(X, g0))

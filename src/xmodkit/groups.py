@@ -7,6 +7,7 @@ image tables, enumerated deterministically by generator-image backtracking.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -22,6 +23,29 @@ AUT_TABLE_CAP = 1024
 class CapExceededError(ValueError):
     """A closure, search or table would grow past one of this package's
     fixed caps."""
+
+
+_MISSING = object()
+
+
+def memoised(f):
+    """f(obj, *args), computed once per object and arguments and kept in
+    obj._cache: under the memoised function itself, or under a tuple led by
+    it when there are arguments.  A value is stored only once f returns, so
+    a call that raises raises again when repeated.  This is the package's
+    one memo: the attributes the paper's GAP implementation stores on each
+    object (centre, derived sub-crossed-module, automorphisms, ...)."""
+
+    @wraps(f)
+    def once(obj, *args):
+        key = (once, *args) if args else once
+        cache = obj._cache
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = f(obj, *args)
+        return value
+
+    return once
 
 
 class FiniteGroup:
@@ -122,7 +146,7 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.elem_order = tuple(orders)
         self.catalog_id = catalog_id
-        self._cache = {} if gens is None else {"gens": tuple(gens)}
+        self._cache = {} if gens is None else {_generators: tuple(gens)}
 
     @property
     def elements(self) -> range:
@@ -143,23 +167,21 @@ class FiniteGroup:
         m = self.mul
         return m[m[m[a][b]][self.inv[a]]][self.inv[b]]
 
+    @memoised
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            m = self.mul
-            self._cache["abelian"] = all(
-                m[a][b] == m[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-        return self._cache["abelian"]
+        m = self.mul
+        return all(
+            m[a][b] == m[b][a]
+            for a in range(self.order)
+            for b in range(a + 1, self.order)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.mul == other.mul
 
+    @memoised
     def __hash__(self) -> int:
-        if "hash" not in self._cache:
-            self._cache["hash"] = hash(self.mul)
-        return self._cache["hash"]
+        return hash(self.mul)
 
     def __repr__(self) -> str:
         tag = f", catalog_id={self.catalog_id}" if self.catalog_id else ""
@@ -217,35 +239,25 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.members == (self.parent.identity,)
 
+    @memoised
     def is_normal(self) -> bool:
         """Whether conjugation by each generator of the parent maps each
         generator of the subgroup into it.  Conjugation by g is an
         automorphism, so it maps the subgroup into itself once it maps the
         generators in, and the g that do form a subgroup of the parent."""
-        if "normal" not in self._cache:
-            par = self.parent
-            self._cache["normal"] = all(
-                par.conj(g, h) in self.member_set
-                for g in generating_sequence(par)
-                for h in subgroup_generators(self)
-            )
-        return self._cache["normal"]
+        par = self.parent
+        return all(
+            par.conj(g, h) in self.member_set
+            for g in generating_sequence(par)
+            for h in subgroup_generators(self)
+        )
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as its own FiniteGroup; index i maps to members[i].
 
         Built once per member set of the parent, so every Subgroup object
         with these members returns the same group."""
-        key = ("subgroup", self.members)
-        cache = self.parent._cache
-        if key not in cache:
-            idx = {m: i for i, m in enumerate(self.members)}
-            mul = self.parent.mul
-            table = tuple(
-                tuple(idx[mul[a][b]] for b in self.members) for a in self.members
-            )
-            cache[key] = FiniteGroup._of_table(table)
-        return cache[key]
+        return _subgroup_table_group(self.parent, self.members)
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,6 +271,14 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"
+
+
+@memoised
+def _subgroup_table_group(G: FiniteGroup, members: tuple[int, ...]) -> FiniteGroup:
+    idx = {m: i for i, m in enumerate(members)}
+    mul = G.mul
+    return FiniteGroup._of_table(
+        tuple(tuple(idx[mul[a][b]] for b in members) for a in members))
 
 
 class GroupHom:
@@ -470,11 +490,10 @@ def conjugation_row(G: FiniteGroup, g: int) -> tuple[int, ...]:
     return compose_perms(tuple(map(itemgetter(G.inv[g]), G.mul)), G.mul[g])
 
 
+@memoised
 def conjugation_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Row g is the image table of x -> g x g^-1; computed once per group."""
-    if "conjtab" not in G._cache:
-        G._cache["conjtab"] = tuple(conjugation_row(G, g) for g in G.elements)
-    return G._cache["conjtab"]
+    return tuple(conjugation_row(G, g) for g in G.elements)
 
 
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -599,32 +618,29 @@ def subgroup_generated(
     return Subgroup(G, members, check=False)
 
 
+@memoised
 def subgroup_generators(S: Subgroup) -> tuple[int, ...]:
     """A generating set of S picked greedily by ascending member."""
-    if "gens" not in S._cache:
-        mul = S.parent.mul
-        S._cache["gens"] = tuple(_greedy_generators(
-            S.members, lambda g: mul[g].__getitem__, S.parent.identity,
-            S.order)[0])
-    return S._cache["gens"]
+    mul = S.parent.mul
+    return tuple(_greedy_generators(
+        S.members, lambda g: mul[g].__getitem__, S.parent.identity,
+        S.order)[0])
 
 
+@memoised
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     """G as a Subgroup of itself; built once per group."""
-    if "full" not in G._cache:
-        G._cache["full"] = Subgroup(G, G.elements, check=False)
-    return G._cache["full"]
+    return Subgroup(G, G.elements, check=False)
 
 
+@memoised
 def center(G: FiniteGroup) -> Subgroup:
     """Z(G); computed once per group."""
-    if "center" not in G._cache:
-        mul = G.mul
-        G._cache["center"] = Subgroup(G, (
-            z for z in G.elements
-            if all(mul[z][x] == mul[x][z] for x in G.elements)
-        ), check=False)
-    return G._cache["center"]
+    mul = G.mul
+    return Subgroup(G, (
+        z for z in G.elements
+        if all(mul[z][x] == mul[x][z] for x in G.elements)
+    ), check=False)
 
 
 def relative_commutator_group(
@@ -632,12 +648,13 @@ def relative_commutator_group(
 ) -> Subgroup:
     """Subgroup generated by commutators [a, b], a in left, b in right;
     computed once per group and pair of element sequences."""
-    left, right = tuple(left), tuple(right)
-    key = ("commutator", left, right)
-    if key not in G._cache:
-        G._cache[key] = subgroup_generated(
-            G, {G.commutator(a, b) for a in left for b in right})
-    return G._cache[key]
+    return _commutator_subgroup(G, tuple(left), tuple(right))
+
+
+@memoised
+def _commutator_subgroup(G: FiniteGroup, left: tuple, right: tuple) -> Subgroup:
+    return subgroup_generated(
+        G, {G.commutator(a, b) for a in left for b in right})
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -657,9 +674,13 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
         N = Subgroup(G, N)
     if N.parent.mul != G.mul:
         raise ValueError("subgroup of a different group")
-    key = ("quotient", N.members)
-    if key in G._cache:
-        return G._cache[key]
+    return _quotient(G, N)
+
+
+@memoised
+def _quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
+    """quotient_group's build, kept under N: Subgroups of G with equal
+    members are equal keys."""
     if not N.is_normal():
         raise ValueError("subgroup is not normal")
     mul = G.mul
@@ -677,18 +698,21 @@ def quotient_group(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupHom]:
         tuple(coset_of[mul[reps[a]][reps[b]]] for b in range(k)) for a in range(k)
     )
     quotient = FiniteGroup._of_table(table, check=False)
-    proj = GroupHom(G, quotient, coset_of, check=False)
-    G._cache[key] = (quotient, proj)
-    return quotient, proj
+    return quotient, GroupHom(G, quotient, coset_of, check=False)
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """A short generating sequence found greedily by ascending index."""
-    if "gens" not in G._cache:
-        mul = G.mul
-        G._cache["gens"] = tuple(_greedy_generators(
-            G.elements, lambda g: mul[g].__getitem__, G.identity, G.order)[0])
-    return list(G._cache["gens"])
+    return list(_generators(G))
+
+
+@memoised
+def _generators(G: FiniteGroup) -> tuple[int, ...]:
+    """generating_sequence's picks; FiniteGroup stores them up front when
+    Light's associativity test has picked them already."""
+    mul = G.mul
+    return tuple(_greedy_generators(
+        G.elements, lambda g: mul[g].__getitem__, G.identity, G.order)[0])
 
 
 class _OnDemandTable(dict):
@@ -822,21 +846,45 @@ def all_isos(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
 
 def first_iso(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
-    """The first isomorphism G -> H in backtracking order, or None."""
-    if G is H or G.mul == H.mul:
-        return identity_hom(G)
-    table = next(_iso_tables(G, H), None)
-    return None if table is None else GroupHom(G, H, table, check=False)
+    """The first isomorphism G -> H in all_isos order, or None."""
+    return next(_iter_isos(G, H), None)
 
 
+@memoised
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """Every automorphism of G in all_isos(G, G) order, identity first;
     computed once per group."""
-    if "auts" not in G._cache:
-        G._cache["auts"] = all_isos(G, G)
-    return G._cache["auts"]
+    return all_isos(G, G)
 
 
+@memoised
+def _aut_tables(G: FiniteGroup) -> tuple:
+    """The image table of each automorphism in automorphisms(G)."""
+    return tuple(f.image_of for f in automorphisms(G))
+
+
+@memoised
+def _aut_index(G: FiniteGroup) -> dict:
+    """Position of each automorphism image table in _aut_tables(G): the
+    one table -> position index of the group's automorphism list."""
+    return {t: i for i, t in enumerate(_aut_tables(G))}
+
+
+@memoised
+def _aut_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """Order of each automorphism in _aut_tables(G)."""
+    tables = _aut_tables(G)
+    orders = []
+    for t in tables:
+        k, power = 1, t
+        while power != tables[0]:
+            power = compose_perms(t, power)
+            k += 1
+        orders.append(k)
+    return tuple(orders)
+
+
+@memoised
 def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
     """A generating set of Aut(G), picked greedily from automorphisms(G).
 
@@ -845,14 +893,11 @@ def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
     composing image tables.  No Cayley table of Aut(G) is built, so this
     stays cheap where automorphism_group refuses (|Aut C2^4| = 20160).
     """
-    if "autgens" not in G._cache:
-        auts = automorphisms(G)
-        by_table = {f.image_of: f for f in auts}
-        # itemgetter(*t) maps x to x o t; a non-identity t has |G| > 2 entries
-        picks, _ = _greedy_generators(
-            by_table, lambda t: itemgetter(*t), auts[0].image_of, len(auts))
-        G._cache["autgens"] = tuple(map(by_table.__getitem__, picks))
-    return G._cache["autgens"]
+    tables, index, auts = _aut_tables(G), _aut_index(G), automorphisms(G)
+    # itemgetter(*t) maps x to x o t; a non-identity t has |G| > 2 entries
+    picks, _ = _greedy_generators(
+        tables, lambda t: itemgetter(*t), tables[0], len(tables))
+    return tuple(auts[index[t]] for t in picks)
 
 
 def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
@@ -867,29 +912,27 @@ def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
             f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
             f"got {G.order}"
         )
-    if "aut" in G._cache:
-        return G._cache["aut"]
+    return _automorphism_table_group(G)
+
+
+@memoised
+def _automorphism_table_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
     auts = automorphisms(G)
     if len(auts) > AUT_TABLE_CAP:
         raise CapExceededError(
             f"|Aut G| = {len(auts)} exceeds the table cap of {AUT_TABLE_CAP}"
         )
-    elements = [f.image_of for f in auts]
-    index = {t: i for i, t in enumerate(elements)}
-    table = _cayley_table(elements, index, compose_perms)
-    result = (FiniteGroup._of_table(table, check=False), auts)
-    G._cache["aut"] = result
-    return result
+    table = _cayley_table(_aut_tables(G), _aut_index(G), compose_perms)
+    return FiniteGroup._of_table(table, check=False), auts
 
 
+@memoised
 def group_fingerprint(G: FiniteGroup) -> tuple:
     """A cheap isomorphism invariant used to prefilter searches.
 
     Its last entry is the sorted element orders of G/G', read without
     building the quotient: gG' has the least order k with g^k in G', and
     each coset repeats its order |G'| times among the sorted k."""
-    if "fp" in G._cache:
-        return G._cache["fp"]
     derived = derived_subgroup(G)
     inside, mul = derived.member_set, G.mul
     coset_orders = []
@@ -899,12 +942,10 @@ def group_fingerprint(G: FiniteGroup) -> tuple:
             y = mul[y][g]
             k += 1
         coset_orders.append(k)
-    fp = (
+    return (
         G.order,
         tuple(sorted(G.elem_order)),
         center(G).order,
         derived.order,
         tuple(sorted(coset_orders)[::derived.order]),
     )
-    G._cache["fp"] = fp
-    return fp

@@ -16,6 +16,7 @@ from .groups import (
     center,
     derived_subgroup,
     full_subgroup,
+    memoised,
     relative_commutator_group,
     subgroup_generated,
     subgroup_generators,
@@ -31,32 +32,28 @@ from .xmods import (
 )
 
 
+@memoised
 def fixed_points(X: CrossedModule) -> Subgroup:
     """Elements of G1 fixed by every element of G0."""
-    if "fix" not in X._cache:
-        members = [
-            a for a in X.g1.elements if all(row[a] == a for row in X.action)
-        ]
-        X._cache["fix"] = Subgroup(X.g1, members, check=False)
-    return X._cache["fix"]
+    members = [
+        a for a in X.g1.elements if all(row[a] == a for row in X.action)
+    ]
+    return Subgroup(X.g1, members, check=False)
 
 
+@memoised
 def stabilizer(X: CrossedModule) -> Subgroup:
     """Elements of G0 acting trivially on G1."""
-    if "stab" not in X._cache:
-        ident = tuple(X.g1.elements)
-        members = [x for x in X.g0.elements if X.action[x] == ident]
-        X._cache["stab"] = Subgroup(X.g0, members, check=False)
-    return X._cache["stab"]
+    ident = tuple(X.g1.elements)
+    members = [x for x in X.g0.elements if X.action[x] == ident]
+    return Subgroup(X.g0, members, check=False)
 
 
+@memoised
 def center_xmod(X: CrossedModule) -> SubXMod:
     """(fixed points -> stabilizer ∩ Z(G0)), the categorical center."""
-    if "center" not in X._cache:
-        s0 = stabilizer(X).member_set & center(X.g0).member_set
-        X._cache["center"] = sub_xmod(
-            X, fixed_points(X), Subgroup(X.g0, s0, check=False))
-    return X._cache["center"]
+    s0 = stabilizer(X).member_set & center(X.g0).member_set
+    return sub_xmod(X, fixed_points(X), Subgroup(X.g0, s0, check=False))
 
 
 def _displacements(
@@ -86,20 +83,17 @@ def _displacements(
     return subgroup_generated(X.g1, seeds, rows)
 
 
+@memoised
 def displacement_subgroup(X: CrossedModule) -> Subgroup:
     """Subgroup of G1 generated by all ^x a * a^-1."""
-    if "disp" not in X._cache:
-        full0 = full_subgroup(X.g0)
-        X._cache["disp"] = _displacements(X, full0, (full_subgroup(X.g1), full0))
-    return X._cache["disp"]
+    full0 = full_subgroup(X.g0)
+    return _displacements(X, full0, (full_subgroup(X.g1), full0))
 
 
+@memoised
 def derived_subxmod(X: CrossedModule) -> SubXMod:
     """(displacement subgroup -> [G0, G0])."""
-    if "derived" not in X._cache:
-        X._cache["derived"] = sub_xmod(
-            X, displacement_subgroup(X), derived_subgroup(X.g0))
-    return X._cache["derived"]
+    return sub_xmod(X, displacement_subgroup(X), derived_subgroup(X.g0))
 
 
 def relative_commutator(X: CrossedModule, N: SubXMod) -> SubXMod:
@@ -138,17 +132,16 @@ class SeriesRecord:
         return tuple(sizes)
 
 
+@memoised
 def lower_central_series(X: CrossedModule) -> SeriesRecord:
     """gamma_1 = X, gamma_{i+1} = [gamma_i, X]; computed once per module."""
-    if "lcs" not in X._cache:
-        terms = [full_subxmod(X)]
-        while True:
-            nxt = relative_commutator(X, terms[-1])
-            if nxt.members() == terms[-1].members():
-                break
-            terms.append(nxt)
-        X._cache["lcs"] = SeriesRecord("lower-central", tuple(terms))
-    return X._cache["lcs"]
+    terms = [full_subxmod(X)]
+    while True:
+        nxt = relative_commutator(X, terms[-1])
+        if nxt.members() == terms[-1].members():
+            break
+        terms.append(nxt)
+    return SeriesRecord("lower-central", tuple(terms))
 
 
 def nilpotency_class(X: CrossedModule):

@@ -24,6 +24,7 @@ from .groups import (
     Subgroup,
     _closure_map,
     _greedy_generators,
+    memoised,
     quotient_group,
 )
 from .invariants import (
@@ -69,6 +70,7 @@ class CommutatorPairing:
         return self.derived.as_xmod()
 
 
+@memoised
 def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
     """Build c1 and c0, evaluating every representative pair.
 
@@ -76,8 +78,6 @@ def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
     for a valid crossed module this would indicate a defect in the
     center or derived computation, so it is surfaced, never swallowed.
     """
-    if "pairing" in X._cache:
-        return X._cache["pairing"]
     quotient, projection = quotient_xmod(X, center_xmod(X))
     derived = derived_subxmod(X)
     a_of = projection.alpha.image_of
@@ -101,13 +101,11 @@ def commutator_pairing(X: CrossedModule) -> CommutatorPairing:
     assert all(v in d1 for row in c1 for v in row)
     assert all(v in d0 for row in c0 for v in row)
     c1 = tuple(map(tuple, c1))
-    pairing = CommutatorPairing(
+    return CommutatorPairing(
         X, quotient, projection, derived, c1, c0,
         _generating_cells(X.g1, c1, derived.s1.order),
         _generating_cells(X.g0, c0, derived.s0.order),
     )
-    X._cache["pairing"] = pairing
-    return pairing
 
 
 def _generating_cells(G: FiniteGroup, table: tuple, order: int) -> tuple:
@@ -125,29 +123,27 @@ def _generating_cells(G: FiniteGroup, table: tuple, order: int) -> tuple:
     return tuple(first[v] for v in picks)
 
 
+@memoised
 def _commutator_cosets(G: FiniteGroup, N: Subgroup) -> tuple:
     """The commutator map on the cosets of a central N, [gN, hN] = [g, h],
     indexed as quotient_group(G, N) indexes them; every representative
     pair is evaluated.  Built once per group and member set."""
-    key = ("commutator cosets", N.members)
-    if key not in G._cache:
-        quotient, proj = quotient_group(G, N)
-        b_of, n = proj.image_of, quotient.order
-        mul, inv = G.mul, G.inv
-        table = [[None] * n for _ in range(n)]
-        for g in G.elements:
-            row = table[b_of[g]]
-            for h in G.elements:
-                value = mul[mul[g][h]][mul[inv[g]][inv[h]]]
-                cell = row[b_of[h]]
-                if cell is None:
-                    row[b_of[h]] = value
-                elif cell != value:
-                    raise WellDefinednessError(
-                        "c0 depends on the choice of representatives"
-                    )
-        G._cache[key] = tuple(map(tuple, table))
-    return G._cache[key]
+    quotient, proj = quotient_group(G, N)
+    b_of, n = proj.image_of, quotient.order
+    mul, inv = G.mul, G.inv
+    table = [[None] * n for _ in range(n)]
+    for g in G.elements:
+        row = table[b_of[g]]
+        for h in G.elements:
+            value = mul[mul[g][h]][mul[inv[g]][inv[h]]]
+            cell = row[b_of[h]]
+            if cell is None:
+                row[b_of[h]] = value
+            elif cell != value:
+                raise WellDefinednessError(
+                    "c0 depends on the choice of representatives"
+                )
+    return tuple(map(tuple, table))
 
 
 @dataclass(eq=False)
@@ -159,15 +155,14 @@ class IsoclinismWitness:
     derived_iso: XModMorphism
 
 
+@memoised
 def _sub_positions(sub: SubXMod) -> tuple[dict, dict]:
     """parent element -> index inside sub.as_xmod(), per level; built once
     per sub-crossed-module."""
-    if "positions" not in sub._cache:
-        sub._cache["positions"] = (
-            {g: i for i, g in enumerate(sub.s1.members)},
-            {g: i for i, g in enumerate(sub.s0.members)},
-        )
-    return sub._cache["positions"]
+    return (
+        {g: i for i, g in enumerate(sub.s1.members)},
+        {g: i for i, g in enumerate(sub.s0.members)},
+    )
 
 
 def _diagrams_commute(px, py, eta, xi) -> bool:
@@ -220,8 +215,9 @@ def _forced_derived_iso(px, py, eta):
     The diagrams prescribe the image of every c1/c0 value, and those
     values generate the derived levels, so the candidate is forced.  It
     is closed from the cells whose values generate (cells1 and cells0
-    of px) and survives only if it is a bijective morphism; the other
-    cells are left to _diagrams_commute.
+    of px) and survives only if it is a bijective morphism, as
+    XModMorphism checks it; the other cells are left to
+    _diagrams_commute.
     """
     dx, dy = px.derived_xmod(), py.derived_xmod()
     s1x, s0x = _sub_positions(px.derived)
@@ -239,68 +235,57 @@ def _forced_derived_iso(px, py, eta):
     ])
     if beta is None:
         return None
-    bx, by = dx.boundary.image_of, dy.boundary.image_of
-    if any(by[alpha[a]] != beta[bx[a]] for a in dx.g1.elements):
+    try:
+        return XModMorphism(
+            dx,
+            dy,
+            GroupHom(dx.g1, dy.g1, alpha, check=False),
+            GroupHom(dx.g0, dy.g0, beta, check=False),
+        )
+    except ValueError:
         return None
-    if any(
-        alpha[dx.action[x][a]] != dy.action[beta[x]][alpha[a]]
-        for x in dx.g0.elements
-        for a in dx.g1.elements
-    ):
-        return None
-    return XModMorphism(
-        dx,
-        dy,
-        GroupHom(dx.g1, dy.g1, alpha, check=False),
-        GroupHom(dx.g0, dy.g0, beta, check=False),
-        check=False,
-    )
 
 
 # --- the ladder: invariants of isoclinism, cheapest first ---
 
 
+@memoised
 def _order_key(X: CrossedModule) -> tuple:
     """|G1/Z1|, |G0/Z0|, |D1| and |D0|, read from the centre and the
     derived sub-crossed-module without building either quotient.  The
     orders of X itself are no invariant: isoclinic modules may differ in
     order."""
-    if "isoclinism orders" not in X._cache:
-        z, d = center_xmod(X), derived_subxmod(X)
-        X._cache["isoclinism orders"] = (
-            X.g1.order // z.s1.order, X.g0.order // z.s0.order, *d.order)
-    return X._cache["isoclinism orders"]
+    z, d = center_xmod(X), derived_subxmod(X)
+    return (X.g1.order // z.s1.order, X.g0.order // z.s0.order, *d.order)
 
 
+@memoised
 def _family_key(X: CrossedModule) -> tuple:
     """Fingerprints of the central quotient and of the derived module."""
-    if "isoclinism fingerprints" not in X._cache:
-        px = commutator_pairing(X)
-        X._cache["isoclinism fingerprints"] = (
-            xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
-    return X._cache["isoclinism fingerprints"]
+    px = commutator_pairing(X)
+    return (
+        xmod_fingerprint(px.quotient), xmod_fingerprint(px.derived_xmod()))
 
 
+@memoised
 def _pairing_profile(X: CrossedModule) -> tuple:
     """How often each triple of element orders (|q1|, |q0|, |c1(q1, q0)|)
     and (|q|, |r|, |c0(q, r)|) occurs over the cells of the pairings, as
     one flat tuple per pairing: each triple in sorted order, then its
     count.  An isoclinism maps cells to cells and values to values by
     isomorphisms, commuting with c1 and c0, so it keeps both counts."""
-    if "isoclinism profile" not in X._cache:
-        p = commutator_pairing(X)
-        o1, o0 = p.quotient.g1.elem_order, p.quotient.g0.elem_order
-        v1, v0 = X.g1.elem_order, X.g0.elem_order
-        c1 = Counter(
-            (o1[q1], o0[q0], v1[value])
-            for q1, row in enumerate(p.c1) for q0, value in enumerate(row))
-        c0 = Counter(
-            (o0[q], o0[r], v0[value])
-            for q, row in enumerate(p.c0) for r, value in enumerate(row))
-        X._cache["isoclinism profile"] = tuple(
-            tuple(v for triple, n in sorted(counts.items()) for v in (*triple, n))
-            for counts in (c1, c0))
-    return X._cache["isoclinism profile"]
+    p = commutator_pairing(X)
+    o1, o0 = p.quotient.g1.elem_order, p.quotient.g0.elem_order
+    v1, v0 = X.g1.elem_order, X.g0.elem_order
+    c1 = Counter(
+        (o1[q1], o0[q0], v1[value])
+        for q1, row in enumerate(p.c1) for q0, value in enumerate(row))
+    c0 = Counter(
+        (o0[q], o0[r], v0[value])
+        for q, row in enumerate(p.c0) for r, value in enumerate(row))
+    return tuple(
+        tuple(v for triple, n in sorted(counts.items()) for v in (*triple, n))
+        for counts in (c1, c0))
 
 
 _LADDER = (_order_key, _family_key, _pairing_profile)
@@ -397,15 +382,15 @@ def hz_subxmod_isoclinism(X: CrossedModule, H: SubXMod) -> IsoclinismWitness:
 def xmod_family_partition(reps) -> list[list[int]]:
     """Partition indices of reps into isoclinism families.
 
-    Each representative is compared with the first member of each family
-    that agrees with it on the ladder; order of first appearance is
-    preserved.
+    Each representative is compared with the first member of each family,
+    in order, until one is isoclinic to it; is_isoclinic_xmod rejects a
+    head that differs on the ladder without a search.  Order of first
+    appearance is preserved.
     """
     families: list[list[int]] = []
     for i, x in enumerate(reps):
         for fam in families:
-            head = reps[fam[0]]
-            if _ladder_agrees(x, head) and is_isoclinic_xmod(x, head) is not None:
+            if is_isoclinic_xmod(x, reps[fam[0]]) is not None:
                 fam.append(i)
                 break
         else:

@@ -33,6 +33,7 @@ from .groups import (
     generating_sequence,
     group_fingerprint,
     identity_hom,
+    memoised,
     quotient_group,
     subgroup_generators,
 )
@@ -89,8 +90,7 @@ class CrossedModule:
         full = frozenset(range(n))
         gens = generating_sequence(self.g1)
         cols = None  # cols[c][a] = a c, formed only if a row needs checking
-        # rows already shown to be automorphisms of this group table
-        passed = self.g1._cache.setdefault("automorphic_rows", set())
+        passed = _automorphic_rows(self.g1)
         for x, row in enumerate(self.action):
             if row in passed:
                 continue
@@ -199,15 +199,20 @@ class CrossedModule:
             and self.action == other.action
         )
 
+    @memoised
     def __hash__(self) -> int:
-        if "hash" not in self._cache:
-            self._cache["hash"] = hash(
-                (self.g1.mul, self.g0.mul, self.boundary.image_of, self.action)
-            )
-        return self._cache["hash"]
+        return hash(
+            (self.g1.mul, self.g0.mul, self.boundary.image_of, self.action))
 
     def __repr__(self) -> str:
         return f"CrossedModule(order={list(self.order())})"
+
+
+@memoised
+def _automorphic_rows(G: FiniteGroup) -> set:
+    """The rows already shown to be automorphisms of G's table; grows as
+    CrossedModule validates actions on G."""
+    return set()
 
 
 def make_xmod(
@@ -231,17 +236,15 @@ def make_xmod(
     return CrossedModule(g1, g0, boundary, action)
 
 
+@memoised
 def identity_xmod(M: FiniteGroup) -> CrossedModule:
     """(M -> M) with the identity boundary and conjugation action; built
     once per group, so every caller shares its cached centre, pairing and
     isoclinism keys."""
-    if "identity xmod" not in M._cache:
-        action = tuple(
-            tuple(M.conj(x, a) for a in M.elements) for x in M.elements
-        )
-        M._cache["identity xmod"] = CrossedModule(
-            M, M, identity_hom(M), action)
-    return M._cache["identity xmod"]
+    action = tuple(
+        tuple(M.conj(x, a) for a in M.elements) for x in M.elements
+    )
+    return CrossedModule(M, M, identity_hom(M), action)
 
 
 def inclusion_xmod(M: FiniteGroup, N) -> CrossedModule:
@@ -298,25 +301,24 @@ class SubXMod:
     def members(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.s1.members, self.s0.members)
 
+    @memoised
     def as_xmod(self) -> CrossedModule:
         """The sub-crossed-module as a standalone crossed module."""
-        if "xmod" not in self._cache:
-            X = self.parent
-            g1 = self.s1.as_group()
-            g0 = self.s0.as_group()
-            i1 = {g: i for i, g in enumerate(self.s1.members)}
-            i0 = {g: i for i, g in enumerate(self.s0.members)}
-            boundary = GroupHom(
-                g1, g0,
-                tuple(i0[X.boundary(g)] for g in self.s1.members),
-                check=False,
-            )
-            action = tuple(
-                tuple(i1[X.act(x, a)] for a in self.s1.members)
-                for x in self.s0.members
-            )
-            self._cache["xmod"] = CrossedModule(g1, g0, boundary, action)
-        return self._cache["xmod"]
+        X = self.parent
+        g1 = self.s1.as_group()
+        g0 = self.s0.as_group()
+        i1 = {g: i for i, g in enumerate(self.s1.members)}
+        i0 = {g: i for i, g in enumerate(self.s0.members)}
+        boundary = GroupHom(
+            g1, g0,
+            tuple(i0[X.boundary(g)] for g in self.s1.members),
+            check=False,
+        )
+        action = tuple(
+            tuple(i1[X.act(x, a)] for a in self.s1.members)
+            for x in self.s0.members
+        )
+        return CrossedModule(g1, g0, boundary, action)
 
     def __eq__(self, other) -> bool:
         return (
@@ -550,34 +552,33 @@ def image(f: XModMorphism) -> SubXMod:
 # --- isomorphism search ---
 
 
+@memoised
 def xmod_fingerprint(X: CrossedModule) -> tuple:
     """Cheap isomorphism invariants used to prefilter searches."""
-    if "fp" not in X._cache:
-        d = X.boundary.image_of
-        ord1, ord0 = X.g1.elem_order, X.g0.elem_order
-        fix = [
-            a for a in X.g1.elements
-            if all(row[a] == a for row in X.action)
-        ]
-        ident = tuple(X.g1.elements)
-        stab = [x for x in X.g0.elements if X.action[x] == ident]
-        steps = [row.__getitem__ for row in X.action]
-        orbit_sizes = []
-        seen = set()
-        for a in X.g1.elements:
-            if a not in seen:
-                orbit = _closure(a, steps, X.g1.order)[0]
-                seen.update(orbit)
-                orbit_sizes.append(len(orbit))
-        X._cache["fp"] = (
-            group_fingerprint(X.g1),
-            group_fingerprint(X.g0),
-            tuple(sorted((ord1[a], ord0[d[a]]) for a in X.g1.elements)),
-            len(fix),
-            len(stab),
-            tuple(sorted(orbit_sizes)),
-        )
-    return X._cache["fp"]
+    d = X.boundary.image_of
+    ord1, ord0 = X.g1.elem_order, X.g0.elem_order
+    fix = [
+        a for a in X.g1.elements
+        if all(row[a] == a for row in X.action)
+    ]
+    ident = tuple(X.g1.elements)
+    stab = [x for x in X.g0.elements if X.action[x] == ident]
+    steps = [row.__getitem__ for row in X.action]
+    orbit_sizes = []
+    seen = set()
+    for a in X.g1.elements:
+        if a not in seen:
+            orbit = _closure(a, steps, X.g1.order)[0]
+            seen.update(orbit)
+            orbit_sizes.append(len(orbit))
+    return (
+        group_fingerprint(X.g1),
+        group_fingerprint(X.g0),
+        tuple(sorted((ord1[a], ord0[d[a]]) for a in X.g1.elements)),
+        len(fix),
+        len(stab),
+        tuple(sorted(orbit_sizes)),
+    )
 
 
 def _alpha_tables(
@@ -696,6 +697,7 @@ def _xmod_aut_pairs(X: CrossedModule) -> list[tuple[GroupHom, tuple[int, ...]]]:
     return pairs
 
 
+@memoised
 def xmod_automorphism_group(
     X: CrossedModule,
 ) -> tuple[FiniteGroup, list[XModMorphism]]:
@@ -712,8 +714,19 @@ def xmod_automorphism_group(
     3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X| reaches
     4032 (16 M entries) and 28224 (797 M entries, representative 282),
     whose list takes 0.05 s; both are refused."""
-    if "aut" in X._cache:
-        return X._cache["aut"]
+    auts, index = _xmod_auts(X)
+    table = _cayley_table(
+        list(index), index,
+        lambda f, g: (compose_perms(f[0], g[0]), compose_perms(f[1], g[1])),
+    )
+    return FiniteGroup._of_table(table, check=False), auts
+
+
+@memoised
+def _xmod_auts(X: CrossedModule) -> tuple[list[XModMorphism], dict]:
+    """xmod_automorphism_group's list, and the position in it of each pair
+    (alpha, beta) of image tables: the one index of Aut(X), which the
+    table and the actor read.  The list is checked against the table cap."""
     pairs = _xmod_aut_pairs(X)
     if len(pairs) > XMOD_AUT_TABLE_CAP:
         raise CapExceededError(
@@ -721,22 +734,14 @@ def xmod_automorphism_group(
             f"{XMOD_AUT_TABLE_CAP}")
     g1 = X.g1
     id_pair = (tuple(g1.elements), tuple(X.g0.elements))
-    auts = [identity_morphism(X)]
-    elements = [id_pair]
+    auts, index = [identity_morphism(X)], {id_pair: 0}
     for beta, img in pairs:
         pair = (img, beta.image_of)
         if pair != id_pair:
+            index[pair] = len(auts)
             alpha = GroupHom(g1, g1, img, check=False)
             auts.append(XModMorphism(X, X, alpha, beta, check=False))
-            elements.append(pair)
-    index = {pair: i for i, pair in enumerate(elements)}
-    table = _cayley_table(
-        elements, index,
-        lambda f, g: (compose_perms(f[0], g[0]), compose_perms(f[1], g[1])),
-    )
-    result = (FiniteGroup._of_table(table, check=False), auts)
-    X._cache["aut"] = result
-    return result
+    return auts, index
 
 
 # --- serialization ---

@@ -7,14 +7,14 @@ from xmodkit.census import (
     CensusError,
     CensusResult,
     _action_tables,
-    _aut_index,
-    _aut_tables,
     _catalog_pairs,
     _classes,
     _key_moves,
     _stage1_scan,
 )
 from xmodkit.groups import (
+    _aut_index,
+    _aut_tables,
     abelian_group,
     all_homs,
     center,

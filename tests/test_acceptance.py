@@ -241,9 +241,10 @@ def test_criterion_5_published_family_table(census88):
         "the census finds 19 families where the published table prints "
         "20: the two printed size-4 rows sharing the profile rank [8,4], "
         "middle length [2,1], class 3, quotient [4,4], gammas "
-        "[4,1],[2,1] come out as one family of 8, and an independent "
-        "brute-force search confirms every cross pair between those two "
-        "rows is isoclinic; see README.md, section 'Known discrepancies'"
+        "[4,1],[2,1] come out as one family of 8; "
+        "test_criterion_5_merged_rows_rerun_by_the_slow_search re-runs the "
+        "witnesses behind that merge with the slow search, and README.md, "
+        "section 'Known discrepancies', explains it"
     )
 
 
@@ -527,3 +528,31 @@ def test_exported_callables_take_no_path_options():
     assert exported <= checked
     assert {"CrossedModule", "all_derivations", "group_from_closure",
             "is_isoclinic_xmod", "xmod_family_partition"} <= checked
+
+
+def test_memos_use_the_one_helper_and_no_string_keys():
+    # one memo protocol: groups.memoised keeps f(obj) under f itself, so
+    # no module reads or writes a _cache entry by hand, and no key is a
+    # string that two modules could both claim
+    import inspect
+    import re
+    from pathlib import Path
+
+    import xmodkit
+    from xmodkit.groups import memoised
+
+    string_key = re.compile(
+        r"""_cache\s*(\[|\.\w+\()\s*\(?\s*["']"""
+        r"""|["'][^"'\n]*["']\s+(not\s+)?in\s+[\w.]*_cache\b""")
+    access = re.compile(r"_cache\s*[\[.]")
+    helper = inspect.getsource(memoised)
+    sources = sorted(Path(xmodkit.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        text = path.read_text()
+        for n, line in enumerate(text.splitlines(), 1):
+            assert not string_key.search(line), (path.name, n, line)
+        if path.name == "groups.py":
+            assert helper in text
+            text = text.replace(helper, "")
+        assert not access.search(text), path.name

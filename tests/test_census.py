@@ -47,7 +47,18 @@ from xmodkit.census import (
     reduce_by_isomorphism,
     save_census,
 )
-from xmodkit.groups import all_homs, all_isos, automorphism_group, symmetric_group
+from xmodkit import groups
+from xmodkit.catalog import catalog_group
+from xmodkit.groups import (
+    FiniteGroup,
+    _aut_index,
+    all_homs,
+    all_isos,
+    automorphism_generators,
+    automorphism_group,
+    cyclic_group,
+    symmetric_group,
+)
 from xmodkit.values import PairValue
 from xmodkit.xmods import (
     all_xmod_isos,
@@ -524,3 +535,35 @@ def test_group_census_order_1():
 def test_group_census_unknown_order():
     with pytest.raises(ValueError):
         group_census(25)
+
+
+def test_one_aut_index_per_automorphism_list(monkeypatch):
+    # automorphism_generators, automorphism_group and the census's action
+    # search all read the group's one table -> position index of its
+    # automorphism list; none builds a copy of its own
+    G = FiniteGroup(catalog_group(8, 3).mul, catalog_id=(8, 3))  # nothing cached
+    reads, table_indexes = [], []
+
+    def spy(H):
+        reads.append(_aut_index(H))
+        return reads[-1]
+
+    cayley = groups._cayley_table
+
+    def cayley_spy(elements, index, op):
+        table_indexes.append(index)
+        return cayley(elements, index, op)
+
+    monkeypatch.setattr(groups, "_aut_index", spy)
+    # the census module, not the census function xmodkit exports
+    monkeypatch.setattr(importlib.import_module("xmodkit.census"), "_aut_index", spy)
+    monkeypatch.setattr(groups, "_cayley_table", cayley_spy)
+    for consumer in (lambda: automorphism_generators(G),
+                     lambda: automorphism_group(G),
+                     lambda: _action_tables(cyclic_group(2), G)):
+        before = len(reads)
+        consumer()
+        assert len(reads) > before
+    assert all(index is reads[0] for index in reads)
+    assert table_indexes == [reads[0]]
+    assert [v for v in G._cache.values() if isinstance(v, dict)] == [reads[0]]

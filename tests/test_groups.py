@@ -26,7 +26,9 @@ from xmodkit.groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _automorphism_table_group,
     _closure,
+    _generators,
     abelian_group,
     all_homs,
     all_isos,
@@ -434,7 +436,7 @@ def test_automorphism_group_fails_fast_on_c2_4():
         automorphism_group(e16)
     assert time.perf_counter() - start < 30.0
     assert len(automorphisms(e16)) == 20160 > AUT_TABLE_CAP
-    assert "aut" not in e16._cache
+    assert _automorphism_table_group not in e16._cache
 
 
 def _perm_closure(gens, degree):
@@ -464,7 +466,7 @@ def test_automorphism_generators_of_c2_4_build_no_table():
     closure = _perm_closure(gens, 16)
     assert len(closure) == 20160
     assert closure == {f.image_of for f in automorphisms(e16)}
-    assert "aut" not in e16._cache
+    assert _automorphism_table_group not in e16._cache
 
 
 def test_generating_sequence():
@@ -543,7 +545,7 @@ def test_stored_generating_sequence_is_the_greedy_pick():
     for e in load_catalog().entries:
         G = catalog_group(e.order, e.index)
         for H in (G, center(G).as_group(), derived_subgroup(G).as_group()):
-            assert H._cache["gens"] == _greedy_pick(H), (e.order, e.index)
+            assert H._cache[_generators] == _greedy_pick(H), (e.order, e.index)
 
 
 # --- rank, middle length, series, class ---
