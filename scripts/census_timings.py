@@ -1,11 +1,14 @@
 """Time census(n, m) for order pairs, each run in a fresh interpreter.
 
 For every pair given on the command line a child process imports xmodkit
-from SRC and runs census(n, m) with no cache directory, REPEATS times,
-since one run does not resolve a change on a VM whose speed drifts.  The
-pair reports the counts (raw, classes, families), the median seconds the
-call took with the min-max range, and the largest peak resident memory
-(ru_maxrss) of its runs.  One JSON object keyed "n,m" is printed when
+from SRC and runs the three stages that census(n, m) runs with no cache
+directory, all_xmods, reduce_by_isomorphism and classify_families, timing
+each; it does so REPEATS times, since one run does not resolve a change on
+a VM whose speed drifts.  The pair reports the counts (raw, classes,
+families), the median seconds of the whole call with the min-max range,
+the median seconds of each stage under "stages", and the largest peak
+resident memory (ru_maxrss) of its runs.  One JSON object keyed "n,m" is
+printed when
 every pair is done, plus the machine's nproc and Python version.  A run
 that goes past TIMEOUT_S seconds is stopped and its pair reported with
 "timeout"; one that exceeds MAX_MIB MiB of address space reports the
@@ -37,13 +40,19 @@ _CHILD = """
 import json, resource, sys, time
 limit = int(sys.argv[3]) << 20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from xmodkit.census import census
+from xmodkit.census import all_xmods, classify_families, reduce_by_isomorphism
 n, m = int(sys.argv[1]), int(sys.argv[2])
-start = time.perf_counter()
-counts = census(n, m).counts()
-seconds = time.perf_counter() - start
+stages = {}
+def timed(stage, *args):
+    start = time.perf_counter()
+    out = stage(*args)
+    stages[stage.__name__] = round(time.perf_counter() - start, 3)
+    return out
+result = timed(classify_families,
+               timed(reduce_by_isomorphism, timed(all_xmods, n, m)))
 kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"counts": counts, "seconds": round(seconds, 3),
+print(json.dumps({"counts": result.counts(),
+                  "seconds": round(sum(stages.values()), 3), "stages": stages,
                   "maxrss_mib": round(kib / 1024, 1)}))
 """
 
@@ -73,6 +82,9 @@ def time_pair(src: Path, n: int, m: int) -> dict:
     return {"counts": runs[0]["counts"],
             "seconds": round(statistics.median(seconds), 3),
             "range": [seconds[0], seconds[-1]],
+            "stages": {stage: round(statistics.median(
+                run["stages"][stage] for run in runs), 3)
+                for stage in runs[0]["stages"]},
             "maxrss_mib": max(run["maxrss_mib"] for run in runs)}
 
 

@@ -312,7 +312,8 @@ def _stabilizer_classes(edges, targets, at, moved) -> list[int]:
         for c, t in enumerate(row):
             if edges[t] != (c, j):
                 try:
-                    schreier.add(tuple(where[t][moved[j][h]] for h in at[c]))
+                    schreier.add(tuple(map(where[t].__getitem__,
+                                           map(moved[j].__getitem__, at[c]))))
                 except KeyError:
                     raise CensusError("the boundaries of an action orbit are "
                                       "not closed under its stabilizer") from None

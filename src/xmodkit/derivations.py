@@ -11,7 +11,6 @@ of the actor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .groups import (
     AUT_TABLE_CAP,
@@ -21,7 +20,6 @@ from .groups import (
     Subgroup,
     _closure,
     _extensions,
-    _OnDemandTable,
     compose_perms,
     generating_sequence,
     memoised,
@@ -80,10 +78,6 @@ class Derivation:
         return f"Derivation({list(self.image_of)})"
 
 
-def zero_derivation(X: CrossedModule) -> Derivation:
-    return Derivation(X, (X.g1.identity,) * X.g0.order, check=False)
-
-
 def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
     """(d1 o d2)(x) = d1(boundary(d2(x)) * x) * d2(x)."""
     X = d1.xmod
@@ -93,27 +87,6 @@ def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
         mul1[i1[mul0[bnd[i2[x]]][x]]][i2[x]] for x in X.g0.elements
     )
     return Derivation(X, img, check=False)
-
-
-def _semidirect(X: CrossedModule) -> SimpleNamespace:
-    """g1 x| g0, (a, x)(b, y) = (a * ^x b, xy) at index a*|g0| + x, as a
-    search target of _extensions: identity and mul only, each entry
-    computed the first time it is read, so no FiniteGroup of order
-    |g1||g0| is built or validated and only the entries the search reads
-    are formed."""
-    n0 = X.g0.order
-    mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
-
-    def row(s: int) -> _OnDemandTable:
-        a, x = divmod(s, n0)
-        ra, rx, act_x = mul1[a], mul0[x], act[x]
-        return _OnDemandTable(
-            lambda t: ra[act_x[t // n0]] * n0 + rx[t % n0]
-        )
-
-    return SimpleNamespace(
-        identity=X.g1.identity * n0 + X.g0.identity, mul=_OnDemandTable(row)
-    )
 
 
 @dataclass(eq=False)
@@ -164,10 +137,11 @@ def all_derivations(X: CrossedModule):
     """Every derivation, as a DerivationMonoid; element 0 is the zero
     derivation and the rest follow in ascending table order.
 
-    A table is a derivation exactly when x -> (table[x], x) is a
-    homomorphic section into the semidirect product g1 x| g0, so the
-    generator-image search closes in its rows, built as it reads them.
-    A candidate (b, g) for a generator g of order k must have order k,
+    A table is a derivation exactly when d(a g) = d(a) * ^a d(g) for
+    every a in g0 and g in generating_sequence(g0), so the generator-image
+    search walks the search plan of g0 with the action as its twist, and
+    no semidirect product g1 x| g0 is formed.  A candidate b for a
+    generator g of order k must make (b, g) of order k in that product,
     that is b * ^g b * ... * ^(g^(k-1)) b = 1.  A derivation is fixed by
     its values on the generators of g0, and so is the circle-product
     table: column d2 is read off those values of d1 o d2 for every d1.
@@ -193,12 +167,11 @@ def all_derivations(X: CrossedModule):
         for _ in range(g0.elem_order[g]):
             norms = [mul1[v][w] for v, w in zip(norms, act[x])]
             x = mul0[x][g]
-        return [b * n0 + g for b, v in enumerate(norms) if v == e1]
+        return [b for b, v in enumerate(norms) if v == e1]
 
     tables = []
-    for found in _extensions(g0, _semidirect(X), candidates):
-        assert all(s % n0 == x for x, s in enumerate(found))
-        tables.append(tuple(s // n0 for s in found))
+    for found in _extensions(g0, X.g1, candidates, twist=act):
+        tables.append(found)
         if len(tables) > AUT_TABLE_CAP:
             raise CapExceededError(
                 f"more than {AUT_TABLE_CAP} derivations: the circle-product "

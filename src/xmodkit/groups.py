@@ -740,7 +740,8 @@ def _closure_map(
 
     Checks every product (known element) * (generator), which is enough to
     certify the extension is a homomorphism on the generated subgroup.
-    H is read only through H.identity and H.mul[a][b], as in _extensions.
+    For pairs that are not a prefix of generating_sequence(G), as in
+    isoclinism._forced_level; _extensions walks the search plan instead.
     """
     image = {G.identity: H.identity}
     order_list = [G.identity]
@@ -769,42 +770,105 @@ def _closure_map(
     return image
 
 
+@memoised
+def _search_plan(G: FiniteGroup) -> tuple[tuple[int, ...], tuple]:
+    """The walk that _extensions makes over G, computed once per group.
+
+    Returns (gens, levels) with gens = generating_sequence(G).  For the
+    prefix H_k = <gens[0..k]>, levels[k] = (tree, checks) holds the edges
+    (a, j, b), b = a gens[j], of the Cayley graph of H_k that the graph of
+    H_(k-1) lacks, in breadth-first order: each a in H_(k-1) by gens[k],
+    then each new element by gens[0..k].  A tree edge is the first to reach
+    its b, after b's source a; every other edge is a relation that an
+    assignment must satisfy (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, sections 4.1 and 4.6).  Over all levels the edges number
+    |G| len(gens), each element but the identity reached by one tree edge.
+    """
+    gens = _generators(G)
+    mul = G.mul
+    reached = [G.identity]
+    seen = [False] * G.order
+    seen[G.identity] = True
+    levels = []
+    for k in range(len(gens)):
+        old = len(reached)
+        tree, checks = [], []
+        for c, a in enumerate(reached):  # reads the elements it appends
+            row = mul[a]
+            for j in (k,) if c < old else range(k + 1):
+                b = row[gens[j]]
+                if seen[b]:
+                    checks.append((a, j, b))
+                else:
+                    seen[b] = True
+                    reached.append(b)
+                    tree.append((a, j, b))
+        levels.append((tuple(tree), tuple(checks)))
+    return gens, tuple(levels)
+
+
 def _extensions(
-    G: FiniteGroup, H: FiniteGroup, candidates: Callable[[int], Iterable[int]]
+    G: FiniteGroup,
+    H,
+    candidates: Callable[[int], Iterable[int]],
+    twist: Optional[Sequence[Sequence[int]]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Image tables of the homomorphisms G -> H whose generator images come
-    from candidates, by generator-image backtracking.
+    from candidates, by generator-image backtracking on _search_plan(G).
 
-    Walks generating_sequence(G), trying candidates(g) in the order given
-    and pruning each partial assignment whose closure is inconsistent.
-    The generators generate G, so the closure of a full assignment is the
-    whole map and is yielded without closing it again.
+    Level k tries candidates(gens[k]) in the order given, each list formed
+    once per search.  A node keeps its parent's images of H_(k-1), fills
+    the images of the new elements along the level's tree edges,
+    img(a g_j) = img(a) img(g_j), and survives when every relation of the
+    level holds; the edges of H_(k-1) were checked by its ancestors.  A
+    node of the last level has filled all of G and yields its table.
+
+    With twist, a table of rows of automorphisms of H indexed by G, the
+    rule is img(a g_j) = img(a) twist[a](img(g_j)): the tables found are
+    the derivations G -> H of that action (derivations.all_derivations).
 
     H need not be a FiniteGroup: the search reads only H.identity and
     H.mul[a][b] for a an image already found and b a candidate, so H.mul
-    may be a mapping that builds each row the first time it is read, for
-    a target far larger than the images the search visits (derivations
-    search G1 x| G0 this way).
+    may be a mapping that builds each entry the first time it is read
+    (the census searches Aut(G1) this way).
     """
-    gens = generating_sequence(G)
+    gens, levels = _search_plan(G)
     if not gens:
-        return iter([(H.identity,)])
+        yield (H.identity,)
+        return
+    mul = H.mul
+    options = [list(candidates(g)) for g in gens]
+    img = [H.identity] * G.order
+    hs: list[int] = []  # the images of gens[0..k]
     last = len(gens) - 1
-    pairs: list[tuple[int, int]] = []
 
     def rec(k: int) -> Iterator[tuple[int, ...]]:
-        g = gens[k]
-        for h in candidates(g):
-            pairs.append((g, h))
-            image = _closure_map(G, H, pairs)
-            if image is not None:
+        tree, checks = levels[k]
+        for h in options[k]:
+            hs.append(h)
+            holds = True
+            if twist is None:
+                for a, j, b in tree:
+                    img[b] = mul[img[a]][hs[j]]
+                for a, j, b in checks:
+                    if img[b] != mul[img[a]][hs[j]]:
+                        holds = False
+                        break
+            else:
+                for a, j, b in tree:
+                    img[b] = mul[img[a]][twist[a][hs[j]]]
+                for a, j, b in checks:
+                    if img[b] != mul[img[a]][twist[a][hs[j]]]:
+                        holds = False
+                        break
+            if holds:
                 if k == last:
-                    yield tuple(image[x] for x in G.elements)
+                    yield tuple(img)
                 else:
                     yield from rec(k + 1)
-            pairs.pop()
+            hs.pop()
 
-    return rec(0)
+    yield from rec(0)
 
 
 def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:

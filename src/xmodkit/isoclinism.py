@@ -27,12 +27,7 @@ from .groups import (
     memoised,
     quotient_group,
 )
-from .invariants import (
-    center_xmod,
-    derived_subxmod,
-    is_aspherical,
-    is_simply_connected,
-)
+from .invariants import center_xmod, derived_subxmod
 from .xmods import (
     CrossedModule,
     SubXMod,
@@ -446,31 +441,3 @@ def group_family_partition(groups: Sequence[FiniteGroup]) -> list[list[int]]:
     """Partition indices into isoclinism families, ordered by first member:
     the families of the identity crossed modules."""
     return xmod_family_partition([identity_xmod(G) for G in groups])
-
-
-@dataclass(frozen=True)
-class ComponentChecks:
-    """Group-level consequences of a crossed-module isoclinism."""
-
-    g1_isoclinic: bool
-    g0_isoclinic: bool
-    both_aspherical: bool
-    both_simply_connected: bool
-
-    def all_hold(self) -> bool:
-        return self.g1_isoclinic and self.g0_isoclinic
-
-
-def component_isoclinism_checks(
-    X: CrossedModule, Y: CrossedModule, witness: IsoclinismWitness
-) -> ComponentChecks:
-    """For finite isoclinic pairs the component groups are isoclinic
-    levelwise; the witness is revalidated before the group checks run."""
-    if not validate_witness(X, Y, witness):
-        raise ValueError("invalid witness")
-    return ComponentChecks(
-        is_isoclinic_group(X.g1, Y.g1) is not None,
-        is_isoclinic_group(X.g0, Y.g0) is not None,
-        is_aspherical(X) and is_aspherical(Y),
-        is_simply_connected(X) and is_simply_connected(Y),
-    )

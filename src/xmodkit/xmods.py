@@ -273,10 +273,6 @@ def module_xmod(
     return CrossedModule(K, L, boundary, action)
 
 
-def xmod_order(X: CrossedModule) -> tuple[int, int]:
-    return X.order()
-
-
 class SubXMod:
     """A sub-crossed-module: levelwise subgroups closed under the data."""
 
@@ -511,15 +507,6 @@ def quotient_xmod(X: CrossedModule, N: SubXMod) -> tuple[CrossedModule, XModMorp
     )
     proj = XModMorphism(X, quotient, p1, p0, check=False)
     return quotient, proj
-
-
-def intersection(H: SubXMod, K: SubXMod) -> SubXMod:
-    if H.parent != K.parent:
-        raise ValueError("subxmods of different crossed modules")
-    X = H.parent
-    return sub_xmod(
-        X, H.s1.member_set & K.s1.member_set, H.s0.member_set & K.s0.member_set
-    )
 
 
 def product(H: SubXMod, K: SubXMod) -> SubXMod:

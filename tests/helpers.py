@@ -1,6 +1,8 @@
-"""Shared constructions for the test suite, and the oracles of the census."""
+"""Shared constructions for the test suite, and the oracles of the census
+and of the generator-image search."""
 
 import itertools
+from types import SimpleNamespace
 
 from xmodkit.catalog import load_catalog
 from xmodkit.census import (
@@ -12,9 +14,11 @@ from xmodkit.census import (
     _key_moves,
     _stage1_scan,
 )
+from xmodkit.derivations import Derivation
 from xmodkit.groups import (
     _aut_index,
     _aut_tables,
+    _closure_map,
     abelian_group,
     all_homs,
     center,
@@ -22,6 +26,7 @@ from xmodkit.groups import (
     derived_subgroup,
     first_iso,
     full_subgroup,
+    generating_sequence,
     group_fingerprint,
     group_from_generators,
     relative_commutator_group,
@@ -74,6 +79,62 @@ def xm_16_2_swap():
 
 def relabeled_s3():
     return group_from_generators([(1, 0, 2), (1, 2, 0)])
+
+
+def zero_derivation(X):
+    """The derivation sending every element of g0 to the identity."""
+    return Derivation(X, (X.g1.identity,) * X.g0.order, check=False)
+
+
+def intersection(H, K):
+    """The levelwise intersection of two sub-crossed-modules."""
+    if H.parent != K.parent:
+        raise ValueError("subxmods of different crossed modules")
+    return sub_xmod(H.parent, H.s1.member_set & K.s1.member_set,
+                    H.s0.member_set & K.s0.member_set)
+
+
+# --- the generator-image search by whole closures, the oracle of the kernel ---
+
+
+def slow_extensions(G, H, candidates):
+    """The image tables that groups._extensions(G, H, candidates) yields,
+    in its order: each node closes its whole assignment with _closure_map,
+    re-closing the prefix subgroup its parent had closed already, and
+    reads candidates(g) afresh."""
+    gens = generating_sequence(G)
+    if not gens:
+        yield (H.identity,)
+        return
+    pairs = []
+
+    def rec(k):
+        g = gens[k]
+        for h in candidates(g):
+            pairs.append((g, h))
+            image = _closure_map(G, H, pairs)
+            if image is not None:
+                if k == len(gens) - 1:
+                    yield tuple(image[x] for x in G.elements)
+                else:
+                    yield from rec(k + 1)
+            pairs.pop()
+
+    yield from rec(0)
+
+
+def semidirect_target(X):
+    """g1 x| g0, (a, x)(b, y) = (a ^x b, xy) at index a |g0| + x, as a
+    search target of slow_extensions: identity and a full table.  The
+    homomorphic sections x -> (d(x), x) are the derivations d."""
+    n0 = X.g0.order
+    mul0, mul1, act = X.g0.mul, X.g1.mul, X.action
+    mul = tuple(
+        tuple(mul1[a][act[x][b]] * n0 + mul0[x][y]
+              for b in X.g1.elements for y in X.g0.elements)
+        for a in X.g1.elements for x in X.g0.elements)
+    return SimpleNamespace(identity=X.g1.identity * n0 + X.g0.identity,
+                           mul=mul)
 
 
 # --- all-pairs definitions, the oracle of the generator-based commutators ---

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from helpers import inversion_module_c8
+from helpers import inversion_module_c8, zero_derivation
 
 from xmodkit import derivations
 from xmodkit.derivations import (
@@ -32,7 +32,6 @@ from xmodkit.derivations import (
     class_preserving_derivations,
     inner_actor,
     whitehead_group,
-    zero_derivation,
 )
 from xmodkit.census import all_xmods, reduce_by_isomorphism
 from xmodkit.groups import (

@@ -17,6 +17,8 @@ from helpers import (
     group_middle_length,
     group_nilpotency_class,
     group_rank,
+    semidirect_target,
+    slow_extensions,
 )
 from xmodkit.catalog import catalog_group, load_catalog
 from xmodkit.census import _group_row
@@ -28,7 +30,9 @@ from xmodkit.groups import (
     Subgroup,
     _automorphism_table_group,
     _closure,
+    _extensions,
     _generators,
+    _search_plan,
     abelian_group,
     all_homs,
     all_isos,
@@ -806,3 +810,75 @@ def test_search_order_is_pinned():
     assert digest.hexdigest() == (
         "3ebb48495aef35d0c74e1fcc6cb7434de3345e8d546e20d7dfb07ac5d07ba5fa"
     )
+
+
+def test_search_plan_reaches_each_element_once():
+    """Every element but the identity is reached by one tree edge, after
+    its source; check edges join elements already reached; and the edges
+    of all levels are the |G| len(gens) edges of the Cayley graph."""
+    cat = load_catalog()
+    for e in cat.entries:
+        G = cat.group(e.order, e.index)
+        gens, levels = _search_plan(G)
+        assert list(gens) == generating_sequence(G)
+        assert len(levels) == len(gens)
+        reached = {G.identity}
+        edges = set()
+        count = 0
+        for k, (tree, checks) in enumerate(levels):
+            for a, j, b in tree:
+                assert a in reached and b not in reached
+                reached.add(b)
+            assert all(a in reached and b in reached for a, _, b in checks)
+            for a, j, b in tree + checks:
+                assert j <= k and G.mul[a][gens[j]] == b
+                edges.add((a, j))
+            count += len(tree) + len(checks)
+            # the levels so far cover the Cayley graph of H_k, once each
+            assert count == len(edges) == len(reached) * (k + 1)
+        assert len(reached) == G.order
+        assert len(edges) == G.order * len(gens)
+
+
+def test_extensions_match_the_closure_oracle():
+    """The plan walk yields what closing every node afresh yields, in the
+    same order: all_homs between the catalog groups of order at most 8,
+    and the isomorphisms of each catalog group to a relabelled copy."""
+    cat = load_catalog()
+    small = [cat.group(e.order, e.index) for e in cat.entries if e.order <= 8]
+    for G, H in iproduct(small, small):
+        def divides(g, G=G, H=H):
+            return [h for h in H.elements if G.elem_order[g] % H.elem_order[h] == 0]
+        assert list(_extensions(G, H, divides)) == list(
+            slow_extensions(G, H, divides))
+    for e in cat.entries:
+        if (e.order, e.index) == (16, 14):  # C2^4: 20160 automorphisms
+            continue
+        G = cat.group(e.order, e.index)
+        R = _relabelled(G)
+
+        def same_order(g, G=G, R=R):
+            return [h for h in R.elements if R.elem_order[h] == G.elem_order[g]]
+        assert list(_extensions(G, R, same_order)) == list(
+            slow_extensions(G, R, same_order))
+
+
+@pytest.mark.parametrize("pair", [(4, 4), (8, 4), (6, 6)])
+def test_twisted_extensions_match_the_semidirect_oracle(pair):
+    """With the action as twist, the plan walk yields the derivations in
+    the order the closure oracle finds the sections of g1 x| g0, and
+    all_derivations lists the same tables."""
+    from xmodkit.census import all_xmods, reduce_by_isomorphism
+    from xmodkit.derivations import all_derivations
+
+    for X in reduce_by_isomorphism(all_xmods(*pair)).representatives:
+        n0 = X.g0.order
+        found = list(_extensions(
+            X.g0, X.g1, lambda g: X.g1.elements, twist=X.action))
+        sections = slow_extensions(
+            X.g0, semidirect_target(X),
+            lambda g: [b * n0 + g for b in X.g1.elements])
+        assert found == [tuple(s // n0 for s in t) for t in sections]
+        zero = (X.g1.identity,) * n0
+        assert sorted(found, key=lambda t: (t != zero, t)) == [
+            d.image_of for d in all_derivations(X).elements]

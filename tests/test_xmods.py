@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     all_pairs_is_normal_subxmod,
     first_xmod_iso,
+    intersection,
     inversion_module_c8,
     multiplier_module_c8,
 )
@@ -36,7 +37,6 @@ from xmodkit.xmods import (
     identity_xmod,
     image,
     inclusion_xmod,
-    intersection,
     is_isomorphic_xmod,
     is_normal_subxmod,
     kernel,
@@ -50,7 +50,6 @@ from xmodkit.xmods import (
     trivial_subxmod,
     xmod_automorphism_group,
     xmod_fingerprint,
-    xmod_order,
 )
 
 
@@ -258,7 +257,7 @@ def test_action_shape_checked():
 def test_identity_xmod():
     d8 = catalog_group(8, 3)
     x = identity_xmod(d8)
-    assert xmod_order(x) == (8, 8)
+    assert x.order() == (8, 8)
     assert x.boundary.image_of == tuple(range(8))
 
 
@@ -266,7 +265,7 @@ def test_inclusion_xmod():
     a4 = catalog_group(12, 3)
     kl4 = derived_subgroup(a4)
     x = inclusion_xmod(a4, kl4)
-    assert xmod_order(x) == (4, 12)
+    assert x.order() == (4, 12)
     # boundary embeds the subgroup
     assert [x.boundary(i) for i in range(4)] == list(kl4.members)
     s3 = symmetric_group(3)
@@ -277,7 +276,7 @@ def test_inclusion_xmod():
 
 def test_module_xmod():
     x = inversion_module_c8()
-    assert xmod_order(x) == (8, 2)
+    assert x.order() == (8, 2)
     assert x.act(1, 3) == 5
     trivial = module_xmod(cyclic_group(4), cyclic_group(2))
     assert trivial.act(1, 3) == 3
@@ -343,7 +342,7 @@ def test_quotient_xmod():
     z = center(d8)
     s = sub_xmod(x, z.members, z.members)
     q, proj = quotient_xmod(x, s)
-    assert xmod_order(q) == (4, 4)
+    assert q.order() == (4, 4)
     # revalidate the projection morphism from scratch
     XModMorphism(x, q, proj.alpha, proj.beta, check=True)
     assert kernel(proj) == s
