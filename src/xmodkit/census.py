@@ -349,16 +349,16 @@ def _pair_keys(G1: FiniteGroup, G0: FiniteGroup) -> tuple[list, list[int]]:
     if any(None in row for row in moved):
         raise CensusError("a moved boundary is not a homomorphism G1 -> G0")
     listed = set(actions)
-    orbits = list(_action_orbits(G1, G0, actions, moves))
-    if not all(listed.issuperset(members) for members, _, _ in orbits):
-        raise CensusError("an orbit of Aut(G1) x Aut(G0) leaves the action list")
-    scanned: dict = {}  # root action -> all_homs positions of its boundaries
-    for phi, d in _stage1_scan(G1, G0, [o[0][0] for o in orbits], boundaries):
-        scanned.setdefault(phi, []).append(hom_position[d])
     found: dict = {}  # action -> (orbit, all_homs position by root position)
     labels = []  # per orbit with modules, the class of each root position
-    for members, edges, targets in orbits:
-        at = [scanned.get(members[0], [])]
+    # each orbit is scanned as the walk yields it, so its move targets
+    # live only while its own classes are read
+    for members, edges, targets in _action_orbits(G1, G0, actions, moves):
+        if not listed.issuperset(members):
+            raise CensusError(
+                "an orbit of Aut(G1) x Aut(G0) leaves the action list")
+        at = [[hom_position[d]
+               for _, d in _stage1_scan(G1, G0, members[:1], boundaries)]]
         if not at[0]:
             continue
         for c, j in edges[1:]:

@@ -3,10 +3,19 @@
 Elements of a group of order n are the integers 0..n-1; every constructor
 in this package places the identity at index 0. Homomorphisms are full
 image tables, enumerated deterministically by generator-image backtracking.
+
+A table's rows are tuples of ints up to order COMPACT_ORDER, where the
+census's hot loops index them.  Above it each row is an array('H') of
+2-byte entries, a quarter of the memory of a row of 8-byte pointers: the
+large tables are Aut(X), the range of the actor, and Aut(G) and closures
+past 256 elements.  The order alone fixes the row type, so two groups
+with equal tables have equal rows of one type.
 """
 
 from __future__ import annotations
 
+import zlib
+from array import array
 from functools import wraps
 from itertools import product as iproduct
 from operator import itemgetter
@@ -18,6 +27,9 @@ DEFAULT_AUT_CAP = 64
 # over the bundled catalog only C2^4 (|Aut| = 20160) exceeds it, the next
 # largest being 432
 AUT_TABLE_CAP = 1024
+# tables of larger order store their rows as 2-byte arrays (_row_type);
+# an order-256 tuple table holds 65 536 entries
+COMPACT_ORDER = 256
 
 
 class CapExceededError(ValueError):
@@ -72,15 +84,16 @@ class FiniteGroup:
 
     @classmethod
     def _of_table(
-        cls, table: tuple[tuple[int, ...], ...], *, check: bool = True
+        cls, table: tuple[Sequence[int], ...], *, check: bool = True
     ) -> "FiniteGroup":
         """A group from a table built inside the package, a tuple of int
-        tuples, taken as it is: no per-entry copy."""
+        rows, taken as it is when its rows have _row_type already: no
+        per-entry copy."""
         group = cls.__new__(cls)
         group._build(table, None, check)
         return group
 
-    def _build(self, table: tuple[tuple[int, ...], ...], catalog_id, check: bool):
+    def _build(self, table: tuple[Sequence[int], ...], catalog_id, check: bool):
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
@@ -100,45 +113,49 @@ class FiniteGroup:
         for j, col in enumerate(zip(*table)):
             if len(set(col)) != n:
                 raise ValueError(f"column {j} is not a permutation")
-        ident_row = tuple(range(n))
+        # every row of the type the order fixes, so that equal tables are
+        # equal rows; entries are in range now, so a 2-byte row holds them
+        as_row = _row_type(n)
+        ident_row = as_row(range(n))
+        if not all(type(row) is type(ident_row) for row in table):
+            table = tuple(map(as_row, table))
         identity = next(
             (e for e in range(n)
              if table[e] == ident_row
-             and tuple(map(itemgetter(e), table)) == ident_row),
+             and as_row(map(itemgetter(e), table)) == ident_row),
             None,
         )
         if identity is None:
             raise ValueError("no two-sided identity")
-        # associativity is checked only at small orders; larger tables
-        # come from closures, which are associative by build.  Light's test
-        # runs on the generating sequence, kept for generating_sequence;
-        # when it fails, the full scan names the first failing triple
+        # tables built with check=False come from closures, which are
+        # associative by build.  Light's test runs on the generating
+        # sequence, kept for generating_sequence; when it fails, the scan
+        # compares row a b with row a composed with row b, one (a, b) at a
+        # time, and names the first failing triple
         gens = None
-        if check and n <= 64:
+        if check:
             gens = _greedy_generators(
                 range(n), lambda s: table[s].__getitem__, identity, n)[0]
-        if gens is not None and not _light_associative(table, gens):
+        if gens is not None and not _light_associative(table, gens, as_row):
             for a in range(n):
                 ra = table[a]
                 for b in range(n):
-                    ab = ra[b]
                     rb = table[b]
-                    tab = table[ab]
-                    for c in range(n):
-                        if tab[c] != ra[rb[c]]:
-                            raise ValueError(
-                                f"associativity fails at ({a},{b},{c})"
-                            )
+                    tab = table[ra[b]]
+                    if tab != as_row(compose_perms(ra, rb)):
+                        c = next(c for c in range(n) if tab[c] != ra[rb[c]])
+                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        # the powers of x run to x^k = 1, so x^(k-1) is the inverse of x
         inv = [0] * n
-        for x in range(n):
-            inv[x] = table[x].index(identity)
         orders = [1] * n
         for x in range(n):
-            y = x
+            y = last = x
             k = 1
             while y != identity:
+                last = y
                 y = table[y][x]
                 k += 1
+            inv[x] = last
             orders[x] = k
         self.order = n
         self.mul = table
@@ -181,7 +198,14 @@ class FiniteGroup:
 
     @memoised
     def __hash__(self) -> int:
-        return hash(self.mul)
+        if self.order <= COMPACT_ORDER:
+            return hash(self.mul)
+        # 2-byte rows are not hashable: one CRC over them, row by row, so
+        # no tuple copy of the table is made
+        crc = 0
+        for row in self.mul:
+            crc = zlib.crc32(row, crc)
+        return hash((self.order, crc))
 
     def __repr__(self) -> str:
         tag = f", catalog_id={self.catalog_id}" if self.catalog_id else ""
@@ -189,7 +213,9 @@ class FiniteGroup:
 
 
 def _light_associative(
-    table: tuple[tuple[int, ...], ...], gens: Sequence[int]
+    table: tuple[Sequence[int], ...],
+    gens: Sequence[int],
+    as_row: Callable[[Iterable[int]], Sequence[int]],
 ) -> bool:
     """Light's associativity test on a Latin square with an identity.
 
@@ -197,11 +223,16 @@ def _light_associative(
     the product: x (s t) = (x s) t, so (x (s t)) y = (x s)(t y) =
     x (s (t y)) = x ((s t) y).  So the test needs only gens, a set whose
     closure from the identity covers the table.  Each s costs n
-    compositions of rows: row x s against row x composed with row s.
+    compositions of rows: row x s against row x composed with row s,
+    made a row of the table's type by as_row.
     """
-    return not any(
-        table[rx[s]] != compose_perms(rx, table[s]) for s in gens for rx in table
-    )
+    for s in gens:
+        # rx -> rx o (row s), one C-level lookup per entry; a table with
+        # a generator has n > 1 entries per row, so the result is a tuple
+        after_s = itemgetter(*table[s])
+        if any(table[rx[s]] != as_row(after_s(rx)) for rx in table):
+            return False
+    return True
 
 
 class Subgroup:
@@ -453,11 +484,22 @@ def _greedy_generators(
     return picks, closure
 
 
+def _row_type(n: int) -> Callable[[Iterable[int]], Sequence[int]]:
+    """The row of a group table of order n, made from its entries: a tuple
+    up to COMPACT_ORDER, above it a 2-byte array('H').  Tables are capped
+    far below the 65 536 elements that 2 bytes can name."""
+    return tuple if n <= COMPACT_ORDER else _compact_row
+
+
+def _compact_row(entries: Iterable[int]) -> array:
+    return array("H", entries)
+
+
 def _cayley_table(
     elements: Sequence[Hashable],
     index: dict,
     op: Callable[[Hashable, Hashable], Hashable],
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[Sequence[int], ...]:
     """The multiplication table of a closed element list, identity first,
     built row by row from a Cayley graph instead of |G|^2 calls to op.
 
@@ -466,9 +508,11 @@ def _cayley_table(
     every other row t, reached by the edge e_t = e_r e_c of the Schreier
     tree from a generator r and a row c, is L_r composed with row c, since
     e_t e_i = e_r (e_c e_i).  By associativity this is the table of op,
-    entry for entry.
+    entry for entry.  Each row is made _row_type(n) as it is composed, so
+    a large table never exists as tuples.
     """
     n = len(elements)
+    as_row = _row_type(n)
     lefts: list[tuple[int, ...]] = []
 
     def left(g: int):
@@ -478,9 +522,9 @@ def _cayley_table(
 
     _, (reached, _, edges) = _greedy_generators(range(n), left, 0, n)
     rows: list = [None] * n
-    rows[0] = tuple(range(n))
+    rows[0] = as_row(range(n))
     for t, (c, j) in zip(reached[1:], edges[1:]):
-        rows[t] = compose_perms(lefts[j], rows[reached[c]])
+        rows[t] = as_row(compose_perms(lefts[j], rows[reached[c]]))
     return tuple(rows)
 
 

@@ -39,8 +39,9 @@ from .groups import (
 )
 
 SERIAL_VERSION = "v1"
-# largest |Aut X| whose dense Cayley table xmod_automorphism_group builds;
-# see its docstring for the measurements behind the value
+# largest |Aut X| whose dense Cayley table xmod_automorphism_group builds:
+# 9 M entries, 18 MB in 2-byte rows; see its docstring for the
+# measurements behind the value
 XMOD_AUT_TABLE_CAP = 3000
 
 
@@ -202,7 +203,7 @@ class CrossedModule:
     @memoised
     def __hash__(self) -> int:
         return hash(
-            (self.g1.mul, self.g0.mul, self.boundary.image_of, self.action))
+            (hash(self.g1), hash(self.g0), self.boundary.image_of, self.action))
 
     def __repr__(self) -> str:
         return f"CrossedModule(order={list(self.order())})"
@@ -697,10 +698,12 @@ def xmod_automorphism_group(
     XMOD_AUT_TABLE_CAP from the automorphism list, before the table is
     built.  The largest |Aut X| over the representatives of [4,4], [8,4],
     [9,9], [12,12] and [20,20] is 2304 ([9,9] representative 13), a 5.3 M
-    entry table built in 0.6 s at a 66 MiB peak on a 2-vCPU VM; a cap of
-    3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X| reaches
-    4032 (16 M entries) and 28224 (797 M entries, representative 282),
-    whose list takes 0.05 s; both are refused."""
+    entry table, 10.6 MB in 2-byte rows; on a 2-vCPU VM tracemalloc reads
+    a 12 MiB peak inside this call, and the process that also builds the
+    actor peaks at 32 MiB after 0.8 s (scripts/aut_peaks.py).  A cap of
+    3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X|
+    reaches 4032 (16 M entries) and 28224 (797 M entries, representative
+    282), whose list takes 0.05 s; both are refused."""
     auts, index = _xmod_auts(X)
     table = _cayley_table(
         list(index), index,

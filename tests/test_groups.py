@@ -109,9 +109,25 @@ def test_closure_cap():
     assert group_from_generators([cycle, swap]).order == 120
 
 
+def _damaged_c300(row, col=None, value=None):
+    """C300's table as lists, with one entry set to value, or, with col
+    None, row row a copy of the row before it."""
+    table = [list(r) for r in cyclic_group(300).mul]
+    if col is None:
+        table[row] = list(table[row - 1])
+    else:
+        table[row][col] = value
+    return table
+
+
 def test_table_validation():
     # one case per check, in the order the constructor runs them
     for table, message in [
+        # order 300 keeps 2-byte rows, checked as a tuple table is
+        (_damaged_c300(3, 5, -1), "table entry out of range"),
+        (_damaged_c300(3, 5, 70000), "table entry out of range"),
+        (_damaged_c300(7, 0, 8), "row 7 is not a permutation"),
+        (_damaged_c300(5), "column 0 is not a permutation"),
         ([], "empty multiplication table"),
         ([[0, 1]], "multiplication table must be square"),
         ([[0, 1], [1, 2]], "table entry out of range"),
@@ -146,10 +162,10 @@ def test_not_associative_rejected():
     assert str(err.value) == "no two-sided identity"
     # loops (Latin squares with identity 0) that are not associative; the
     # message names the first failing triple in (a, b, c) scan order
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     for table, message in [
-        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
-          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
-         "associativity fails at (1,1,2)"),
+        (loop, "associativity fails at (1,1,2)"),
         # Light's test checks only the middle element 1, whose
         # closure covers the table; the first failing triple has
         # middle element 2, so only the full scan that follows a
@@ -163,6 +179,16 @@ def test_not_associative_rejected():
         assert str(err.value) == message
     # the same loop passes with check=False
     assert FiniteGroup(table, check=False).order == 6
+    # loop x C13 has order 65, above 64, and is checked like the small
+    # loops; (a, b) is element 13 a + b, with identity 0
+    big = [[13 * loop[a][c] + (b + d) % 13 for c in range(5) for d in range(13)]
+           for a in range(5) for b in range(13)]
+    first = next(
+        (a, b, c) for a, b, c in iproduct(range(65), repeat=3)
+        if big[big[a][b]][c] != big[a][big[b][c]])
+    with pytest.raises(ValueError) as err:
+        FiniteGroup(big)
+    assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
 
 
 def test_named_constructors():
@@ -409,7 +435,8 @@ def test_automorphism_group_table_against_brute_force():
         if (e.order, e.index) == (16, 14):  # refused: 20160 automorphisms
             continue
         aut, auts = automorphism_group(cat.group(e.order, e.index))
-        assert aut.mul == _brute_table(
+        # rows above order 256 are 2-byte arrays; compare entries
+        assert tuple(map(tuple, aut.mul)) == _brute_table(
             [f.image_of for f in auts], compose_perms), (e.order, e.index)
 
 

@@ -160,7 +160,8 @@ def test_xmod_automorphism_group_table_against_brute_force():
             aut, auts = xmod_automorphism_group(X)
             pairs = [(f.alpha.image_of, f.beta.image_of) for f in auts]
             index = {p: i for i, p in enumerate(pairs)}
-            assert aut.mul == tuple(
+            # rows above order 256 are 2-byte arrays; compare entries
+            assert tuple(map(tuple, aut.mul)) == tuple(
                 tuple(
                     index[(compose_perms(fa, ga), compose_perms(fb, gb))]
                     for ga, gb in pairs
@@ -169,6 +170,34 @@ def test_xmod_automorphism_group_table_against_brute_force():
             )
             orders.append(aut.order)
     assert max(orders) == 1008
+
+
+def test_large_automorphism_groups_keep_2_byte_rows():
+    """Tables above order 256 store 2-byte rows; a group built from the
+    same table as nested lists gets the same rows, so it is equal and
+    hashes alike, and the actor over such a range hashes too."""
+    from array import array
+
+    from xmodkit.census import census
+    from xmodkit.derivations import actor
+    from xmodkit.groups import FiniteGroup, automorphism_group
+
+    reps = census(8, 4).representatives
+    small = xmod_automorphism_group(reps[32])[0]
+    assert small.order == 48 and type(small.mul[0]) is tuple
+    large = [xmod_automorphism_group(reps[r])[0] for r in (49, 55)]
+    large.append(automorphism_group(catalog_group(18, 4))[0])
+    assert [G.order for G in large] == [336, 1008, 432]
+    for G in large:
+        assert all(type(row) is array and row.typecode == "H"
+                   for row in G.mul)
+        again = FiniteGroup([list(row) for row in G.mul])
+        assert type(again.mul[0]) is array
+        assert again == G and hash(again) == hash(G)
+    act = actor(reps[55]).xmod
+    assert act.g0 is large[1]
+    copy = parse_xmod(serialize_xmod(act))
+    assert copy == act and hash(copy) == hash(act)
 
 
 @pytest.mark.parametrize("n, m", [(4, 4), (6, 6), (8, 4)])
