@@ -7,16 +7,18 @@ each representative by orbit-stabilizer counting, |Aut X| = |Aut G1|
 |Aut G0| / (the size of its class), so no automorphism group is built.
 The TOP representatives with the largest |Aut X| (the lower index first
 on a tie) are written out with serialize_xmod.  Each is then parsed in a
-fresh child, REPEATS times, which times xmod_automorphism_group(X) and
-actor(X) together and reports its peak resident memory (ru_maxrss); the
-census never runs in these children, so the peak is the query's own.
+fresh child, REPEATS times, which times xmod_automorphism_group(X) alone
+and together with actor(X), and reports its peak resident memory
+(ru_maxrss); the census never runs in these children, so the peak is the
+query's own.
 One more fresh child per representative reads the peak that tracemalloc
 sees inside xmod_automorphism_group alone: the memory of the Aut(X) table.
 
-A representative reports |Aut X|, the median seconds with the min-max
-range, the largest ru_maxrss in MiB and the tracemalloc peak in MiB.  One
-JSON object keyed "n,m" is printed when every pair is done, plus the
-machine's nproc and Python version.  A child that fails reports its
+A representative reports |Aut X|, the median seconds of Aut(X) and actor
+with the min-max range, the median seconds of Aut(X) alone, the largest
+ru_maxrss in MiB and the tracemalloc peak in MiB.  One JSON object keyed
+"n,m" is printed when every pair is done, plus the machine's nproc and
+Python version.  A child that fails reports its
 error in place of the figures.
 
 Run from the repository root:
@@ -70,10 +72,12 @@ if sys.argv[1] == "trace":
 else:
     start = time.perf_counter()
     aut, _ = xmod_automorphism_group(X)
+    aut_seconds = time.perf_counter() - start
     actor(X)
     seconds = time.perf_counter() - start
     kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"aut_order": aut.order, "seconds": round(seconds, 3),
+                      "aut_seconds": round(aut_seconds, 3),
                       "maxrss_mib": round(kib / 1024, 1)}))
 """
 
@@ -106,6 +110,7 @@ def measure(src: Path, pick: dict) -> dict:
     return {"aut_order": runs[0]["aut_order"],
             "seconds": round(statistics.median(seconds), 3),
             "range": [seconds[0], seconds[-1]],
+            "aut_seconds": statistics.median(run["aut_seconds"] for run in runs),
             "maxrss_mib": max(run["maxrss_mib"] for run in runs),
             "tracemalloc_mib": traced["out"]["tracemalloc_mib"]}
 

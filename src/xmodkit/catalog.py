@@ -10,12 +10,12 @@ round-trips byte-exactly through parse and render.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .groups import FiniteGroup, first_iso, group_fingerprint, group_from_generators
+from .values import FrozenRecord
 
 CATALOG_MAX_ORDER = 24
 
@@ -78,15 +78,12 @@ def cycles_text(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(FrozenRecord):
     """One record; its generators are parsed from cycles, the record's
     "perm;perm;..." text, when first read."""
 
-    order: int
-    index: int
-    name: str
-    cycles: str
+    def __init__(self, order: int, index: int, name: str, cycles: str):
+        self.__dict__.update(order=order, index=index, name=name, cycles=cycles)
 
     @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -49,7 +48,7 @@ from .invariants import (
     rank_of_xmod,
 )
 from .isoclinism import group_family_partition, xmod_family_partition
-from .values import NOT_NILPOTENT, LogValue, PairValue
+from .values import NOT_NILPOTENT, FrozenRecord, LogValue, PairValue, Record
 from .xmods import (
     CrossedModule,
     identity_xmod,
@@ -72,8 +71,7 @@ class CensusError(RuntimeError):
     """Raised when a census result fails its own consistency checks."""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(FrozenRecord):
     """Shared invariants of one isoclinism family.
 
     Every field is recomputed for every member and compared; a family whose
@@ -82,18 +80,30 @@ class FamilyReport:
     on, without the trailing trivial term of a nilpotent series.
     """
 
-    family_index: int
-    members: tuple[int, ...]
-    member_count: int
-    rank: PairValue
-    middle_length: PairValue
-    nilpotency_class: object
-    central_quotient_size: tuple[int, int]
-    gamma_sizes: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        family_index: int,
+        members: tuple[int, ...],
+        member_count: int,
+        rank: PairValue,
+        middle_length: PairValue,
+        nilpotency_class: object,
+        central_quotient_size: tuple[int, int],
+        gamma_sizes: tuple[tuple[int, int], ...],
+    ):
+        self.__dict__.update(
+            family_index=family_index,
+            members=members,
+            member_count=member_count,
+            rank=rank,
+            middle_length=middle_length,
+            nilpotency_class=nilpotency_class,
+            central_quotient_size=central_quotient_size,
+            gamma_sizes=gamma_sizes,
+        )
 
 
-@dataclass(eq=False)
-class CensusResult:
+class CensusResult(Record):
     """Output of the census pipeline, filled in stage by stage.
 
     The reduction stage holds one built crossed module per isomorphism
@@ -102,14 +112,25 @@ class CensusResult:
     families and reports.  A result loaded from cache has class_map None.
     """
 
-    order_pair: tuple[int, int]
-    raw_count: int
-    representatives: list
-    class_map: Optional[tuple[int, ...]] = None
-    families: Optional[list[tuple[int, ...]]] = None
-    reports: Optional[list[FamilyReport]] = None
-    catalog_version: str = ""
-    engine_version: str = ENGINE_VERSION
+    def __init__(
+        self,
+        order_pair: tuple[int, int],
+        raw_count: int,
+        representatives: list,
+        class_map: Optional[tuple[int, ...]] = None,
+        families: Optional[list[tuple[int, ...]]] = None,
+        reports: Optional[list[FamilyReport]] = None,
+        catalog_version: str = "",
+        engine_version: str = ENGINE_VERSION,
+    ):
+        self.order_pair = order_pair
+        self.raw_count = raw_count
+        self.representatives = representatives
+        self.class_map = class_map
+        self.families = families
+        self.reports = reports
+        self.catalog_version = catalog_version
+        self.engine_version = engine_version
 
     @property
     def stage(self) -> str:
@@ -143,8 +164,7 @@ class CensusResult:
 # --- stage 1: raw enumeration ---
 
 
-@dataclass(frozen=True)
-class RawKeys:
+class RawKeys(FrozenRecord):
     """The raw stage of the census: every crossed module of an order
     pair, as an unbuilt key.
 
@@ -156,11 +176,21 @@ class RawKeys:
     and reduce_by_isomorphism builds only the class representatives.
     """
 
-    order_pair: tuple[int, int]
-    keys: list
-    classes: list
-    catalog_version: str = ""
-    engine_version: str = ENGINE_VERSION
+    def __init__(
+        self,
+        order_pair: tuple[int, int],
+        keys: list,
+        classes: list,
+        catalog_version: str = "",
+        engine_version: str = ENGINE_VERSION,
+    ):
+        self.__dict__.update(
+            order_pair=order_pair,
+            keys=keys,
+            classes=classes,
+            catalog_version=catalog_version,
+            engine_version=engine_version,
+        )
 
     @property
     def raw_count(self) -> int:
@@ -706,19 +736,32 @@ def census(
 # --- group families per order ---
 
 
-@dataclass(frozen=True)
-class GroupFamilyReport:
+class GroupFamilyReport(FrozenRecord):
     """Shared invariants of one isoclinism family of groups."""
 
-    family_index: int
-    member_ids: tuple[str, ...]
-    member_count: int
-    representative_id: str
-    rank: LogValue
-    middle_length: LogValue
-    nilpotency_class: object
-    quotient_id: str
-    gamma_ids: tuple[str, ...]
+    def __init__(
+        self,
+        family_index: int,
+        member_ids: tuple[str, ...],
+        member_count: int,
+        representative_id: str,
+        rank: LogValue,
+        middle_length: LogValue,
+        nilpotency_class: object,
+        quotient_id: str,
+        gamma_ids: tuple[str, ...],
+    ):
+        self.__dict__.update(
+            family_index=family_index,
+            member_ids=member_ids,
+            member_count=member_count,
+            representative_id=representative_id,
+            rank=rank,
+            middle_length=middle_length,
+            nilpotency_class=nilpotency_class,
+            quotient_id=quotient_id,
+            gamma_ids=gamma_ids,
+        )
 
 
 def _identify_text(cat: GroupCatalog, G: FiniteGroup) -> str:

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import GroupCatalog, import_catalog, load_catalog
@@ -32,7 +31,7 @@ from .invariants import (
     rank_of_xmod,
 )
 from .isoclinism import is_isoclinic_group, is_isoclinic_xmod
-from .values import class_text, subscript
+from .values import FrozenRecord, class_text, subscript
 from .xmods import parse_xmod
 
 FORMATS = ("text", "csv", "json")
@@ -40,8 +39,7 @@ FORMATS = ("text", "csv", "json")
 _ENV_CACHE = "XMODKIT_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class ReportTable:
+class ReportTable(FrozenRecord):
     """A rendered table: title lines, headers, and rectangular string rows.
 
     The CSV flavor carries no title lines (RFC-style CSV has nowhere to
@@ -49,17 +47,19 @@ class ReportTable:
     to identical content.
     """
 
-    title: tuple[str, ...]
-    headers: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    format: str = "text"
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        for row in self.rows:
-            if len(row) != len(self.headers):
+    def __init__(
+        self,
+        title: tuple[str, ...],
+        headers: tuple[str, ...],
+        rows: tuple[tuple[str, ...], ...],
+        format: str = "text",
+    ):
+        if format not in FORMATS:
+            raise ValueError(f"unknown format {format!r}")
+        for row in rows:
+            if len(row) != len(headers):
                 raise ValueError("report rows must be rectangular")
+        self.__dict__.update(title=title, headers=headers, rows=rows, format=format)
 
 
 def _pair_cell(pair) -> str:

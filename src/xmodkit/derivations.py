@@ -10,8 +10,6 @@ of the actor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import (
     AUT_TABLE_CAP,
     CapExceededError,
@@ -34,6 +32,7 @@ from .xmods import (
     sub_xmod,
     xmod_automorphism_group,
 )
+from .values import Record
 
 DERIVATION_CAP = 24
 
@@ -89,13 +88,13 @@ def circle_product(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(X, img, check=False)
 
 
-@dataclass(eq=False)
-class DerivationMonoid:
+class DerivationMonoid(Record):
     """All derivations with the circle-product table; element 0 is the unit."""
 
-    xmod: CrossedModule
-    elements: tuple
-    op: tuple
+    def __init__(self, xmod: CrossedModule, elements: tuple, op: tuple):
+        self.xmod = xmod
+        self.elements = elements
+        self.op = op
 
     @property
     def unit(self) -> Derivation:
@@ -199,13 +198,15 @@ def all_derivations(X: CrossedModule):
     return DerivationMonoid(X, elements, tuple(zip(*columns)))
 
 
-@dataclass(eq=False)
-class WhiteheadGroup:
+class WhiteheadGroup(Record):
     """Group of regular derivations (units of the circle monoid)."""
 
-    carrier: FiniteGroup
-    member_derivations: tuple
-    monoid: DerivationMonoid
+    def __init__(
+        self, carrier: FiniteGroup, member_derivations: tuple, monoid: DerivationMonoid
+    ):
+        self.carrier = carrier
+        self.member_derivations = member_derivations
+        self.monoid = monoid
 
     @property
     def order(self) -> int:
@@ -229,18 +230,24 @@ def whitehead_group(X: CrossedModule):
     return WhiteheadGroup(carrier, members, monoid)
 
 
-@dataclass(eq=False)
-class ActorXMod:
+class ActorXMod(Record):
     """A crossed module of regular derivations over automorphism pairs.
 
     xmod's source element k is derivations[k]; its range element j is
     automorphisms[j]; whitehead is the ambient Whitehead group.
     """
 
-    xmod: CrossedModule
-    whitehead: WhiteheadGroup
-    derivations: tuple
-    automorphisms: tuple
+    def __init__(
+        self,
+        xmod: CrossedModule,
+        whitehead: WhiteheadGroup,
+        derivations: tuple,
+        automorphisms: tuple,
+    ):
+        self.xmod = xmod
+        self.whitehead = whitehead
+        self.derivations = derivations
+        self.automorphisms = automorphisms
 
 
 @memoised

@@ -19,6 +19,7 @@ from array import array
 from functools import wraps
 from itertools import product as iproduct
 from operator import itemgetter
+from struct import Struct
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_CLOSURE_CAP = 512
@@ -485,14 +486,19 @@ def _greedy_generators(
 
 
 def _row_type(n: int) -> Callable[[Iterable[int]], Sequence[int]]:
-    """The row of a group table of order n, made from its entries: a tuple
-    up to COMPACT_ORDER, above it a 2-byte array('H').  Tables are capped
-    far below the 65 536 elements that 2 bytes can name."""
-    return tuple if n <= COMPACT_ORDER else _compact_row
+    """The row of a group table of order n, made from its n entries: a
+    tuple up to COMPACT_ORDER, above it a 2-byte array('H').  Tables are
+    capped far below the 65 536 elements that 2 bytes can name.
 
-
-def _compact_row(entries: Iterable[int]) -> array:
-    return array("H", entries)
+    A compact row is filled from the entries packed to bytes in one
+    struct call: array('H', entries) parses every entry on its own, which
+    cost Light's test more than composing the rows it compares.  An array
+    read from bytes is allocated 1/16 too long, so the row kept is its
+    copy, which is allocated to size."""
+    if n <= COMPACT_ORDER:
+        return tuple
+    pack = Struct(f"{n}H").pack
+    return lambda entries: array("H", array("H", pack(*entries)))
 
 
 def _cayley_table(
@@ -509,7 +515,8 @@ def _cayley_table(
     tree from a generator r and a row c, is L_r composed with row c, since
     e_t e_i = e_r (e_c e_i).  By associativity this is the table of op,
     entry for entry.  Each row is made _row_type(n) as it is composed, so
-    a large table never exists as tuples.
+    a large table never exists as tuples.  Unpacking a parent row boxes
+    its 2-byte entries, so it is done once per parent, not per child.
     """
     n = len(elements)
     as_row = _row_type(n)
@@ -523,8 +530,14 @@ def _cayley_table(
     _, (reached, _, edges) = _greedy_generators(range(n), left, 0, n)
     rows: list = [None] * n
     rows[0] = as_row(range(n))
-    for t, (c, j) in zip(reached[1:], edges[1:]):
-        rows[t] = as_row(compose_perms(lefts[j], rows[reached[c]]))
+    # sorted by parent; a parent precedes its children in the tree, so its
+    # row is built before they read it
+    parent = None
+    for (c, j), t in sorted(zip(edges[1:], reached[1:])):
+        if c != parent:
+            # a table with a child has n > 1 entries per row: tuples come back
+            parent, after_c = c, itemgetter(*rows[reached[c]])
+        rows[t] = as_row(after_c(lefts[j]))
     return tuple(rows)
 
 

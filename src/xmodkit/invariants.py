@@ -8,7 +8,6 @@ tables render their log2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .groups import (
@@ -21,7 +20,7 @@ from .groups import (
     subgroup_generated,
     subgroup_generators,
 )
-from .values import NOT_NILPOTENT, NOT_SOLVABLE, PairValue
+from .values import NOT_NILPOTENT, NOT_SOLVABLE, FrozenRecord, PairValue
 from .xmods import (
     CrossedModule,
     SubXMod,
@@ -111,13 +110,11 @@ def relative_commutator(X: CrossedModule, N: SubXMod) -> SubXMod:
     return sub_xmod(X, level1, level0)
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
+class SeriesRecord(FrozenRecord):
     """A subobject series; terms are distinct, ending at the stable term."""
 
-    kind: str
-    terms: tuple
-    stabilized: bool = True
+    def __init__(self, kind: str, terms: tuple, stabilized: bool = True):
+        self.__dict__.update(kind=kind, terms=terms, stabilized=stabilized)
 
     def sizes(self) -> list[tuple[int, int]]:
         return [t.order for t in self.terms]
@@ -246,18 +243,27 @@ def middle_length_of_xmod(X: CrossedModule) -> PairValue:
     return PairValue(level1, level0)
 
 
-@dataclass(frozen=True)
-class Prop10Report:
+class Prop10Report(FrozenRecord):
     """Consequences of simple connectivity and asphericity.
 
     Fields are None when the hypothesis does not apply.
     """
 
-    simply_connected: bool
-    aspherical: bool
-    fix_equals_center_g1: Optional[bool]
-    displacement_equals_derived_g1: Optional[bool]
-    stabilizer_center_equals_center_g0: Optional[bool]
+    def __init__(
+        self,
+        simply_connected: bool,
+        aspherical: bool,
+        fix_equals_center_g1: Optional[bool],
+        displacement_equals_derived_g1: Optional[bool],
+        stabilizer_center_equals_center_g0: Optional[bool],
+    ):
+        self.__dict__.update(
+            simply_connected=simply_connected,
+            aspherical=aspherical,
+            fix_equals_center_g1=fix_equals_center_g1,
+            displacement_equals_derived_g1=displacement_equals_derived_g1,
+            stabilizer_center_equals_center_g0=stabilizer_center_equals_center_g0,
+        )
 
     def all_hold(self) -> bool:
         return all(

@@ -15,7 +15,6 @@ crossed modules (G -> G).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (
@@ -39,10 +38,10 @@ from .xmods import (
     quotient_xmod,
     xmod_fingerprint,
 )
+from .values import FrozenRecord, Record
 
 
-@dataclass(eq=False)
-class CommutatorPairing:
+class CommutatorPairing(Record):
     """The central quotient with its commutator maps into the derived
     sub-crossed-module.
 
@@ -52,14 +51,25 @@ class CommutatorPairing:
     generate the derived levels.
     """
 
-    xmod: CrossedModule
-    quotient: CrossedModule
-    projection: XModMorphism
-    derived: SubXMod
-    c1: tuple
-    c0: tuple
-    cells1: tuple
-    cells0: tuple
+    def __init__(
+        self,
+        xmod: CrossedModule,
+        quotient: CrossedModule,
+        projection: XModMorphism,
+        derived: SubXMod,
+        c1: tuple,
+        c0: tuple,
+        cells1: tuple,
+        cells0: tuple,
+    ):
+        self.xmod = xmod
+        self.quotient = quotient
+        self.projection = projection
+        self.derived = derived
+        self.c1 = c1
+        self.c0 = c0
+        self.cells1 = cells1
+        self.cells0 = cells0
 
     def derived_xmod(self) -> CrossedModule:
         return self.derived.as_xmod()
@@ -141,13 +151,13 @@ def _commutator_cosets(G: FiniteGroup, N: Subgroup) -> tuple:
     return tuple(map(tuple, table))
 
 
-@dataclass(eq=False)
-class IsoclinismWitness:
+class IsoclinismWitness(Record):
     """A verified isoclinism: compatible isomorphisms of the central
     quotients and of the derived sub-crossed-modules."""
 
-    quotient_iso: XModMorphism
-    derived_iso: XModMorphism
+    def __init__(self, quotient_iso: XModMorphism, derived_iso: XModMorphism):
+        self.quotient_iso = quotient_iso
+        self.derived_iso = derived_iso
 
 
 @memoised
@@ -393,8 +403,7 @@ def xmod_family_partition(reps) -> list[list[int]]:
     return families
 
 
-@dataclass(frozen=True)
-class GroupIsoclinism:
+class GroupIsoclinism(FrozenRecord):
     """Witness that two groups are isoclinic.
 
     quotient_iso maps M/Z(M) to N/Z(N), cosets indexed as quotient_group
@@ -404,12 +413,23 @@ class GroupIsoclinism:
     central cosets before a witness is returned.
     """
 
-    quotient_iso: GroupHom
-    derived_iso: GroupHom
-    source_projection: GroupHom
-    target_projection: GroupHom
-    source_derived_members: tuple[int, ...]
-    target_derived_members: tuple[int, ...]
+    def __init__(
+        self,
+        quotient_iso: GroupHom,
+        derived_iso: GroupHom,
+        source_projection: GroupHom,
+        target_projection: GroupHom,
+        source_derived_members: tuple[int, ...],
+        target_derived_members: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            quotient_iso=quotient_iso,
+            derived_iso=derived_iso,
+            source_projection=source_projection,
+            target_projection=target_projection,
+            source_derived_members=source_derived_members,
+            target_derived_members=target_derived_members,
+        )
 
 
 def is_isoclinic_group(M: FiniteGroup, N: FiniteGroup) -> Optional[GroupIsoclinism]:

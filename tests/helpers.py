@@ -1,20 +1,31 @@
-"""Shared constructions for the test suite, and the oracles of the census
-and of the generator-image search."""
+"""Shared constructions for the test suite, and the oracles of the census,
+of the generator-image search and of the package's records."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
-from xmodkit.catalog import load_catalog
+from xmodkit import __version__ as ENGINE_VERSION
+from xmodkit.catalog import CatalogEntry, load_catalog
 from xmodkit.census import (
     CensusError,
     CensusResult,
+    FamilyReport,
+    GroupFamilyReport,
+    RawKeys,
     _action_tables,
     _catalog_pairs,
     _classes,
     _key_moves,
     _stage1_scan,
 )
-from xmodkit.derivations import Derivation
+from xmodkit.cli import FORMATS, ReportTable
+from xmodkit.derivations import (
+    ActorXMod,
+    Derivation,
+    DerivationMonoid,
+    WhiteheadGroup,
+)
 from xmodkit.groups import (
     _aut_index,
     _aut_tables,
@@ -32,12 +43,15 @@ from xmodkit.groups import (
     relative_commutator_group,
     subgroup_generated,
 )
+from xmodkit.invariants import Prop10Report, SeriesRecord
 from xmodkit.isoclinism import (
+    CommutatorPairing,
+    GroupIsoclinism,
     IsoclinismWitness,
     _diagrams_commute,
     commutator_pairing,
 )
-from xmodkit.values import NOT_NILPOTENT, LogValue
+from xmodkit.values import NOT_NILPOTENT, LogValue, PairValue
 from xmodkit.xmods import all_xmod_isos, make_xmod, module_xmod, sub_xmod
 
 
@@ -377,3 +391,73 @@ def group_nilpotency_class(G):
     if terms[-1].is_trivial():
         return len(terms) - 1
     return NOT_NILPOTENT
+
+
+# The package's records as the dataclasses they were declared as: the
+# class, whether it was frozen (frozen records compare and hash by field,
+# the others by identity), and its fields in order, a (name, default) pair
+# for a field with a default.
+RECORD_DECLARATIONS = [
+    (CatalogEntry, True, ["order", "index", "name", "cycles"]),
+    (FamilyReport, True, [
+        "family_index", "members", "member_count", "rank", "middle_length",
+        "nilpotency_class", "central_quotient_size", "gamma_sizes",
+    ]),
+    (CensusResult, False, [
+        "order_pair", "raw_count", "representatives", ("class_map", None),
+        ("families", None), ("reports", None), ("catalog_version", ""),
+        ("engine_version", ENGINE_VERSION),
+    ]),
+    (RawKeys, True, [
+        "order_pair", "keys", "classes", ("catalog_version", ""),
+        ("engine_version", ENGINE_VERSION),
+    ]),
+    (GroupFamilyReport, True, [
+        "family_index", "member_ids", "member_count", "representative_id",
+        "rank", "middle_length", "nilpotency_class", "quotient_id",
+        "gamma_ids",
+    ]),
+    (ReportTable, True, ["title", "headers", "rows", ("format", "text")]),
+    (DerivationMonoid, False, ["xmod", "elements", "op"]),
+    (WhiteheadGroup, False, ["carrier", "member_derivations", "monoid"]),
+    (ActorXMod, False, ["xmod", "whitehead", "derivations", "automorphisms"]),
+    (SeriesRecord, True, ["kind", "terms", ("stabilized", True)]),
+    (Prop10Report, True, [
+        "simply_connected", "aspherical", "fix_equals_center_g1",
+        "displacement_equals_derived_g1", "stabilizer_center_equals_center_g0",
+    ]),
+    (CommutatorPairing, False, [
+        "xmod", "quotient", "projection", "derived", "c1", "c0", "cells1",
+        "cells0",
+    ]),
+    (IsoclinismWitness, False, ["quotient_iso", "derived_iso"]),
+    (GroupIsoclinism, True, [
+        "quotient_iso", "derived_iso", "source_projection",
+        "target_projection", "source_derived_members",
+        "target_derived_members",
+    ]),
+    (LogValue, True, ["order"]),
+    (PairValue, True, ["level1_order", "level0_order"]),
+]
+
+
+def _report_table_checks(self):
+    if self.format not in FORMATS:
+        raise ValueError(f"unknown format {self.format!r}")
+    for row in self.rows:
+        if len(row) != len(self.headers):
+            raise ValueError("report rows must be rectangular")
+
+
+def dataclass_twin(cls, frozen, fields):
+    """The dataclasses.dataclass that a record of RECORD_DECLARATIONS was:
+    same name, fields, defaults and equality, and for ReportTable the same
+    checks in __post_init__."""
+    spec = [
+        (f, object) if isinstance(f, str) else (f[0], object, f[1])
+        for f in fields
+    ]
+    namespace = {"__post_init__": _report_table_checks} if cls is ReportTable else {}
+    return dataclasses.make_dataclass(
+        cls.__name__, spec, namespace=namespace, frozen=frozen, eq=frozen
+    )

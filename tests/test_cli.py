@@ -11,7 +11,7 @@ import pytest
 
 from helpers import inversion_module_c8, xm_16_2_swap
 
-from xmodkit.catalog import GroupCatalog, load_catalog
+from xmodkit.catalog import CatalogEntry, GroupCatalog, load_catalog
 from xmodkit.census import census, group_census
 from xmodkit.cli import (
     ReportTable,
@@ -158,12 +158,9 @@ def test_paper_row_match_and_ambiguity(capsys):
     assert lines[2].endswith(", [8,1]") and lines[3].endswith(", [8,3]")
 
     # a catalog that lists C4 twice makes the C4 fingerprint ambiguous
-    import dataclasses
-
     entries = load_catalog().entries_of_order(4)
-    clash = dataclasses.replace(
-        next(e for e in entries if e.index == 1), index=9
-    )
+    e = next(e for e in entries if e.index == 1)
+    clash = CatalogEntry(e.order, 9, e.name, e.cycles)
     twin = GroupCatalog("twins", entries + [clash])
     table = render_group_report(group_census(4), 4, matches=twin)
     assert table.rows[0][-1] == "[4,?]"
