@@ -595,7 +595,7 @@ def _parse_families(text: str, expected: int) -> list[tuple[int, ...]]:
         label, _, rest = line.partition(":")
         if int(label) != i:
             raise ValueError("families record out of order")
-        families.append(tuple(int(v) for v in rest.split()))
+        families.append(tuple(map(int, rest.split())))
     if len(families) != expected:
         raise ValueError("family count mismatch")
     return families
@@ -630,7 +630,7 @@ def _parse_report_records(text: str, families) -> list[FamilyReport]:
             raise ValueError("expected 'gammas' in report record")
         gamma_parts = parts[1:]
         gammas = tuple(
-            tuple(int(v) for v in item.split(",")) for item in gamma_parts
+            tuple(map(int, item.split(","))) for item in gamma_parts
         ) if gamma_parts != ["-"] else ()
         cls = NOT_NILPOTENT if cls_text == "-" else int(cls_text)
         reports.append(

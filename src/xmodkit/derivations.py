@@ -11,13 +11,14 @@ of the actor.
 from __future__ import annotations
 
 from .groups import (
-    AUT_TABLE_CAP,
-    CapExceededError,
+    TABLE_CAP,
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _check_table,
     _closure,
     _extensions,
+    _row_type,
     compose_perms,
     generating_sequence,
     memoised,
@@ -33,8 +34,6 @@ from .xmods import (
     xmod_automorphism_group,
 )
 from .values import Record
-
-DERIVATION_CAP = 24
 
 
 class Derivation:
@@ -145,15 +144,10 @@ def all_derivations(X: CrossedModule):
     its values on the generators of g0, and so is the circle-product
     table: column d2 is read off those values of d1 o d2 for every d1.
 
-    CapExceededError is raised for a level larger than DERIVATION_CAP,
-    and by the search once it finds more than AUT_TABLE_CAP derivations,
-    before the |monoid|^2 circle-product table is built.
+    The search stops with CapExceededError once it finds more than
+    TABLE_CAP derivations, before the |monoid|^2 circle-product table is
+    built; the table's rows have _row_type, as a group table's do.
     """
-    if X.g0.order > DERIVATION_CAP or X.g1.order > DERIVATION_CAP:
-        raise CapExceededError(
-            f"derivation search capped at order {DERIVATION_CAP}, got "
-            f"{list(X.order())}"
-        )
     g0 = X.g0
     n0 = g0.order
     mul0, mul1, act, bnd = g0.mul, X.g1.mul, X.action, X.boundary.image_of
@@ -169,13 +163,10 @@ def all_derivations(X: CrossedModule):
         return [b for b, v in enumerate(norms) if v == e1]
 
     tables = []
+    too_many = f"more than {TABLE_CAP} derivations"
     for found in _extensions(g0, X.g1, candidates, twist=act):
         tables.append(found)
-        if len(tables) > AUT_TABLE_CAP:
-            raise CapExceededError(
-                f"more than {AUT_TABLE_CAP} derivations: the circle-product "
-                "table is not built"
-            )
+        _check_table(len(tables), len(tables), too_many)
     zero = (e1,) * n0
     tables.sort(key=lambda t: (t != zero, t))
     elements = tuple(Derivation(X, t, check=False) for t in tables)
@@ -183,6 +174,7 @@ def all_derivations(X: CrossedModule):
     index = {tuple(t[s] for s in gens): i for i, t in enumerate(tables)}
     by_point = tuple(zip(*tables))  # by_point[x][i] = tables[i][x]
     cols1 = tuple(zip(*mul1))  # cols1[c][v] = v * c
+    as_row = _row_type(len(tables))
     # column j holds d1 o d2 for d2 = elements[j] and every d1, as in
     # circle_product: (d1 o d2)(s) = d1(bnd(d2(s)) s) * d2(s)
     columns = []
@@ -194,8 +186,8 @@ def all_derivations(X: CrossedModule):
         column = list(map(index.get, zip(*values))) if gens else [0]
         if None in column:
             raise RuntimeError("circle product left the derivation set")
-        columns.append(column)
-    return DerivationMonoid(X, elements, tuple(zip(*columns)))
+        columns.append(as_row(column))
+    return DerivationMonoid(X, elements, tuple(map(as_row, zip(*columns))))
 
 
 class WhiteheadGroup(Record):

@@ -22,20 +22,27 @@ from operator import itemgetter
 from struct import Struct
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-DEFAULT_CLOSURE_CAP = 512
-DEFAULT_AUT_CAP = 64
-# largest |Aut G| whose dense Cayley table automorphism_group will build;
-# over the bundled catalog only C2^4 (|Aut| = 20160) exceeds it, the next
-# largest being 432
-AUT_TABLE_CAP = 1024
+# the most rows of any dense table this package builds: 9 M entries, 18 MB
+# in 2-byte rows.  It admits |Aut X| = 2304 at [9,9] and refuses |Aut C2^4|
+# = 20160; every bound is _check_table, before its table is built
+TABLE_CAP = 3000
 # tables of larger order store their rows as 2-byte arrays (_row_type);
 # an order-256 tuple table holds 65 536 entries
 COMPACT_ORDER = 256
 
 
 class CapExceededError(ValueError):
-    """A closure, search or table would grow past one of this package's
-    fixed caps."""
+    """A table, or the search or closure that lists its rows, would pass
+    TABLE_CAP rows of TABLE_CAP entries; raised before it is built."""
+
+
+def _check_table(rows: int, width: int, what: str) -> None:
+    """Refuse, before it is built, a table of rows x width entries past
+    TABLE_CAP x TABLE_CAP: the one check of every resource bound."""
+    if rows * width > TABLE_CAP * TABLE_CAP:
+        raise CapExceededError(
+            f"{what}: a table of {rows} x {width} entries passes the cap of "
+            f"{TABLE_CAP} x {TABLE_CAP}")
 
 
 _MISSING = object()
@@ -414,10 +421,11 @@ def group_from_closure(
     Returns the group and its element list; element i of the group is
     elements[i], with the identity first. Discovery order is a breadth
     first walk multiplying known elements by generators on the right,
-    which raises CapExceededError past DEFAULT_CLOSURE_CAP elements.
+    which stops and raises CapExceededError past TABLE_CAP elements.
     """
     steps = [lambda a, g=g: op(a, g) for g in generators]
-    elements, index, _ = _closure(identity, steps, DEFAULT_CLOSURE_CAP)
+    elements, index, _ = _closure(identity, steps, TABLE_CAP)
+    _check_table(len(elements), len(elements), "closure")
     return FiniteGroup._of_table(_cayley_table(elements, index, op)), elements
 
 
@@ -431,7 +439,8 @@ def _closure(
     generator taking an element to its product with that generator.
 
     Without known, every step is applied once to each element in turn, and
-    a new element takes the next number when first met.
+    a new element takes the next number when first met.  The walk stops
+    past limit elements, a bound only group_from_closure's closure can pass.
 
     Returns (elements, index, edges), the identity first.  edges[t] = (c, j)
     is the edge that first reached elements[t] = steps[j](elements[c]), with
@@ -451,13 +460,11 @@ def _closure(
         for j, step in newest if c < old else every:
             y = step(x)
             if y not in index:
-                if len(elements) >= limit:
-                    raise CapExceededError(
-                        f"closure exceeded cap of {limit} elements"
-                    )
                 index[y] = len(elements)
                 elements.append(y)
                 edges.append((c, j))
+                if len(elements) > limit:
+                    return elements, index, edges
     return elements, index, edges
 
 
@@ -566,12 +573,13 @@ def group_from_generators(perms: Sequence[Sequence[int]]) -> FiniteGroup:
     """The permutation group generated by image-table permutations.
 
     An empty list yields the trivial group. All permutations are padded
-    to a common degree; the closure is capped at DEFAULT_CLOSURE_CAP.
+    to a common degree; a group of more than TABLE_CAP elements raises
+    CapExceededError (S6, of order 720, is built; S7 is refused).
     """
     degree = max((len(p) for p in perms), default=1)
     gens = []
     for p in perms:
-        t = tuple(int(v) for v in p) + tuple(range(len(p), degree))
+        t = tuple(map(int, p)) + tuple(range(len(p), degree))
         if sorted(t) != list(range(degree)):
             raise ValueError(f"not a permutation: {p}")
         gens.append(t)
@@ -974,7 +982,17 @@ def first_iso(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
 @memoised
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """Every automorphism of G in all_isos(G, G) order, identity first;
-    computed once per group."""
+    computed once per group.  The search has at most L leaves, L the
+    product over generating_sequence(G) of the number of elements of each
+    generator's order (Holt-Eick-O'Brien, Handbook of Computational Group
+    Theory, 4.6), so it is refused before it starts when its L image
+    tables of |G| entries pass the table cap (C2^5; C2^4 is admitted)."""
+    orders = G.elem_order
+    leaves = 1
+    for g in _generators(G):
+        leaves *= orders.count(orders[g])
+    _check_table(leaves, G.order,
+                 f"automorphism search of a group of order {G.order}")
     return all_isos(G, G)
 
 
@@ -1012,7 +1030,8 @@ def automorphism_generators(G: FiniteGroup) -> tuple[GroupHom, ...]:
     Each automorphism, in list order, that the generators picked so far do
     not reach becomes a generator, and the reached set is extended by
     composing image tables.  No Cayley table of Aut(G) is built, so this
-    stays cheap where automorphism_group refuses (|Aut C2^4| = 20160).
+    stays cheap where automorphism_group refuses a table of more than
+    TABLE_CAP rows (|Aut C2^4| = 20160); automorphisms(G) bounds the list.
     """
     tables, index, auts = _aut_tables(G), _aut_index(G), automorphisms(G)
     # itemgetter(*t) maps x to x o t; a non-identity t has |G| > 2 entries
@@ -1025,24 +1044,15 @@ def automorphism_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
     """Aut(G) as a FiniteGroup whose element i is the returned list's i-th
     automorphism; the product is composition, (f*g)(x) = f(g(x)).
 
-    DEFAULT_AUT_CAP bounds |G| for callers of the query API, which may
-    pass any group (the bundled catalog ends at order 24); AUT_TABLE_CAP
-    bounds |Aut G|, checked before the |Aut G|^2 table is built."""
-    if G.order > DEFAULT_AUT_CAP:
-        raise CapExceededError(
-            f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
-            f"got {G.order}"
-        )
+    More than TABLE_CAP automorphisms raise CapExceededError once they
+    are listed, before the |Aut G|^2 table is built."""
     return _automorphism_table_group(G)
 
 
 @memoised
 def _automorphism_table_group(G: FiniteGroup) -> tuple[FiniteGroup, list[GroupHom]]:
     auts = automorphisms(G)
-    if len(auts) > AUT_TABLE_CAP:
-        raise CapExceededError(
-            f"|Aut G| = {len(auts)} exceeds the table cap of {AUT_TABLE_CAP}"
-        )
+    _check_table(len(auts), len(auts), f"|Aut G| = {len(auts)}")
     table = _cayley_table(_aut_tables(G), _aut_index(G), compose_perms)
     return FiniteGroup._of_table(table, check=False), auts
 

@@ -17,11 +17,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import catalog_group
 from .groups import (
-    CapExceededError,
     FiniteGroup,
     GroupHom,
     Subgroup,
     _cayley_table,
+    _check_table,
     _closure,
     _extensions,
     _iter_isos,
@@ -39,10 +39,6 @@ from .groups import (
 )
 
 SERIAL_VERSION = "v1"
-# largest |Aut X| whose dense Cayley table xmod_automorphism_group builds:
-# 9 M entries, 18 MB in 2-byte rows; see its docstring for the
-# measurements behind the value
-XMOD_AUT_TABLE_CAP = 3000
 
 
 class XModAxiomError(ValueError):
@@ -694,14 +690,14 @@ def xmod_automorphism_group(
     The list is all_xmod_isos(X, X) in its order, identity first; the
     table is built row by row from generators of the group.
 
-    The table has |Aut X|^2 entries, so |Aut X| is checked against
-    XMOD_AUT_TABLE_CAP from the automorphism list, before the table is
+    The table has |Aut X|^2 entries, so more than TABLE_CAP automorphisms
+    raise CapExceededError once they are listed, before the table is
     built.  The largest |Aut X| over the representatives of [4,4], [8,4],
     [9,9], [12,12] and [20,20] is 2304 ([9,9] representative 13), a 5.3 M
     entry table, 10.6 MB in 2-byte rows; on a 2-vCPU VM tracemalloc reads
     a 12 MiB peak inside this call, and the process that also builds the
-    actor peaks at 32 MiB after 0.8 s (scripts/aut_peaks.py).  A cap of
-    3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X|
+    actor peaks at 32 MiB after 0.8 s (scripts/aut_peaks.py).  TABLE_CAP
+    = 3000 admits it, and tables up to 9 M entries.  At [8,8] |Aut X|
     reaches 4032 (16 M entries) and 28224 (797 M entries, representative
     282), whose list takes 0.05 s; both are refused."""
     auts, index = _xmod_auts(X)
@@ -718,10 +714,7 @@ def _xmod_auts(X: CrossedModule) -> tuple[list[XModMorphism], dict]:
     (alpha, beta) of image tables: the one index of Aut(X), which the
     table and the actor read.  The list is checked against the table cap."""
     pairs = _xmod_aut_pairs(X)
-    if len(pairs) > XMOD_AUT_TABLE_CAP:
-        raise CapExceededError(
-            f"|Aut X| = {len(pairs)} exceeds the table cap of "
-            f"{XMOD_AUT_TABLE_CAP}")
+    _check_table(len(pairs), len(pairs), f"|Aut X| = {len(pairs)}")
     g1 = X.g1
     id_pair = (tuple(g1.elements), tuple(X.g0.elements))
     auts, index = [identity_morphism(X)], {id_pair: 0}
@@ -781,9 +774,7 @@ def _parse_group(reader: _LineReader, tag: str) -> FiniteGroup:
         return catalog_group(int(parts[2]), int(parts[3]))
     if parts[1] == "table":
         order = int(parts[2])
-        rows = [
-            tuple(int(v) for v in reader.next().split()) for _ in range(order)
-        ]
+        rows = [tuple(map(int, reader.next().split())) for _ in range(order)]
         return FiniteGroup(rows)
     raise ValueError(f"unknown group form {parts[1]!r}")
 
@@ -800,12 +791,10 @@ def parse_xmod(text: str) -> CrossedModule:
     bnd_parts = reader.next().split()
     if bnd_parts[:1] != ["boundary"]:
         raise ValueError("expected a boundary record")
-    boundary = GroupHom(g1, g0, tuple(int(v) for v in bnd_parts[1:]))
+    boundary = GroupHom(g1, g0, tuple(map(int, bnd_parts[1:])))
     if reader.next().strip() != "action":
         raise ValueError("expected the action block")
-    action = [
-        tuple(int(v) for v in reader.next().split()) for _ in range(g0.order)
-    ]
+    action = [tuple(map(int, reader.next().split())) for _ in range(g0.order)]
     if reader.next().strip() != "end":
         raise ValueError("expected the end marker")
     return CrossedModule(g1, g0, boundary, action)

@@ -556,3 +556,21 @@ def test_memos_use_the_one_helper_and_no_string_keys():
             assert helper in text
             text = text.replace(helper, "")
         assert not access.search(text), path.name
+
+
+def test_one_table_cap_and_no_test_moves_it():
+    # one resource bound: src/xmodkit assigns one *_CAP constant, and every
+    # test runs at it, so no test monkeypatches a cap
+    import re
+    from pathlib import Path
+
+    import xmodkit
+
+    assigned = re.compile(r"^\s*([A-Z_]*_CAP)\s*[:=]", re.M)
+    caps = [(path.name, name)
+            for path in sorted(Path(xmodkit.__file__).parent.glob("*.py"))
+            for name in assigned.findall(path.read_text())]
+    assert caps == [("groups.py", "TABLE_CAP")]
+    patched = re.compile(r"monkeypatch\.\w+\([^)]*_CAP\b")
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        assert not patched.search(path.read_text()), path.name

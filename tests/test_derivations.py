@@ -14,12 +14,12 @@ Brute-force baselines:
 
 import itertools
 import time
+from array import array
 
 import pytest
 
 from helpers import inversion_module_c8, zero_derivation
 
-from xmodkit import derivations
 from xmodkit.derivations import (
     ActorXMod,
     Derivation,
@@ -275,9 +275,7 @@ def test_class_preserving_actor_matches_inner_actor():
         assert ac.members == inner.s0.members
 
 
-def test_isoclinic_identity_xmods_same_class_preserving_actor(monkeypatch):
-    # the paper's C32 example lies above DERIVATION_CAP = 24
-    monkeypatch.setattr(derivations, "DERIVATION_CAP", 32)
+def test_isoclinic_identity_xmods_same_class_preserving_actor():
     kl4 = identity_xmod(abelian_group([2, 2]))
     c32 = identity_xmod(cyclic_group(32))
     act_kl4 = actor(kl4)
@@ -298,9 +296,18 @@ def test_derivation_validation_and_cap():
         Derivation(x, (1,) * 2)  # misses the law at (1, 1)
     with pytest.raises(ValueError):
         Derivation(x, (0,))  # wrong length
-    big = module_xmod(cyclic_group(1), cyclic_group(25))
-    with pytest.raises(CapExceededError):
-        all_derivations(big)
+    # no level order is capped: the trivial module over C25 has one
+    # derivation, and its actor's range is Aut(C25), of order 20
+    c25 = module_xmod(cyclic_group(1), cyclic_group(25))
+    assert len(all_derivations(c25)) == 1
+    assert actor(c25).xmod.order() == (1, 20)
+    # 2048 derivations fit the cap of 3000: a circle-product table of 4 M
+    # entries in 2-byte rows
+    x = identity_xmod(abelian_group([2, 2, 8]))
+    monoid = all_derivations(x)
+    assert len(monoid) == 2048
+    assert monoid.op[0] == array("H", range(2048))
+    assert actor(x).xmod.order() == (384, 384)
 
 
 def test_derivation_monoid_too_large_to_tabulate_fails_fast():
@@ -309,7 +316,7 @@ def test_derivation_monoid_too_large_to_tabulate_fails_fast():
     c2_4 = abelian_group([2, 2, 2, 2])
     x = module_xmod(c2_4, c2_4)
     start = time.perf_counter()
-    with pytest.raises(CapExceededError, match="more than 1024 derivations"):
+    with pytest.raises(CapExceededError, match="more than 3000 derivations"):
         all_derivations(x)
     assert time.perf_counter() - start < 1.0
     assert all_derivations not in x._cache

@@ -23,7 +23,7 @@ from helpers import (
 from xmodkit.catalog import catalog_group, load_catalog
 from xmodkit.census import _group_row
 from xmodkit.groups import (
-    AUT_TABLE_CAP,
+    TABLE_CAP,
     CapExceededError,
     FiniteGroup,
     GroupHom,
@@ -101,9 +101,14 @@ def test_mixed_degree_generators_pad():
 
 
 def test_closure_cap():
-    # S6 has 720 elements, above DEFAULT_CLOSURE_CAP = 512; S5 has 120
-    with pytest.raises(CapExceededError):
-        group_from_generators([tuple(range(1, 6)) + (0,), (1, 0, 2, 3, 4, 5)])
+    # S7 has 5040 elements, above TABLE_CAP = 3000: the closure stops
+    # past the cap; S6 has 720 and S5 120
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="3001 x 3001"):
+        group_from_generators([tuple(range(1, 7)) + (0,), (1, 0, 2, 3, 4, 5, 6)])
+    assert time.perf_counter() - start < 1.0
+    assert group_from_generators(
+        [tuple(range(1, 6)) + (0,), (1, 0, 2, 3, 4, 5)]).order == 720
     cycle = tuple(range(1, 5)) + (0,)
     swap = (1, 0, 2, 3, 4)
     assert group_from_generators([cycle, swap]).order == 120
@@ -416,9 +421,21 @@ def test_automorphism_group_structure():
             assert auts[aut.mul[i][j]].image_of == composed
     c32 = group_from_generators([tuple(range(1, 32)) + (0,)])
     assert automorphism_group(c32)[0].order == 16
-    with pytest.raises(CapExceededError):
-        automorphism_group(group_from_generators(
-            [tuple(range(1, 65)) + (0,)]))
+    # no group order is capped: C64 and C65 are admitted
+    c64 = group_from_generators([tuple(range(1, 64)) + (0,)])
+    assert automorphism_group(c64)[0].order == 32
+    c65 = group_from_generators([tuple(range(1, 65)) + (0,)])
+    assert automorphism_group(c65)[0].order == 48
+    # the automorphism searches of C2^5 and C2^6 are bounded by 31^5 and
+    # 63^6 leaves, so they are refused before they start
+    for rank in (5, 6):
+        for listing in (automorphisms, automorphism_group):
+            e = abelian_group([2] * rank)
+            start = time.perf_counter()
+            with pytest.raises(CapExceededError, match="automorphism search"):
+                listing(e)
+            assert time.perf_counter() - start < 1.0
+            assert automorphisms not in e._cache
 
 
 def _brute_table(elements, op):
@@ -466,7 +483,7 @@ def test_automorphism_group_fails_fast_on_c2_4():
     with pytest.raises(CapExceededError, match="20160"):
         automorphism_group(e16)
     assert time.perf_counter() - start < 30.0
-    assert len(automorphisms(e16)) == 20160 > AUT_TABLE_CAP
+    assert len(automorphisms(e16)) == 20160 > TABLE_CAP
     assert _automorphism_table_group not in e16._cache
 
 

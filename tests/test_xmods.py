@@ -487,9 +487,9 @@ def test_automorphism_table_too_large_fails_fast(census88):
     import time
 
     from xmodkit.groups import CapExceededError
-    from xmodkit.xmods import XMOD_AUT_TABLE_CAP
+    from xmodkit.groups import TABLE_CAP
 
-    assert 2304 <= XMOD_AUT_TABLE_CAP < 28224
+    assert 2304 <= TABLE_CAP < 28224
     X = census88.representatives[282]
     start = time.perf_counter()
     with pytest.raises(CapExceededError, match="28224"):
@@ -540,6 +540,9 @@ def test_parse_rejects_bad_input():
         parse_xmod("group v1\n")
     with pytest.raises(ValueError):
         parse_xmod("\n".join(text.splitlines()[:-2]))
+    # a token of an action row that is not an integer
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_xmod(text.replace("action\n  0 1 2 3\n", "action\n  0 1 b 3\n", 1))
     # tampered action must fail validation
     bad = text.replace("action\n  0 1 2 3\n", "action\n  0 1 3 2\n", 1)
     if bad != text:
